@@ -68,6 +68,10 @@ NULL_TOL = 1e-12
 Scalar = Union[int, float, complex]
 
 
+def _min_abs(v) -> float:
+    return np.min(np.abs(v)) if isinstance(v, np.ndarray) else abs(v)
+
+
 class Bicomplex:
     """Immutable bicomplex value z1 + j z2.
 
@@ -217,8 +221,9 @@ class Bicomplex:
     # -- predicates ----------------------------------------------------
 
     def is_null(self, tol: float = NULL_TOL) -> bool:
-        """True when the value lies within ``tol`` of the null cone."""
-        return bool(min(abs(self.alpha), abs(self.beta)) <= tol)
+        """True when the value (any point of it, for array components) lies
+        within ``tol`` of the null cone."""
+        return bool(min(_min_abs(self.alpha), _min_abs(self.beta)) <= tol)
 
 
 @dataclass(frozen=True)
@@ -235,7 +240,7 @@ class IdempotentPair:
         return Bicomplex.from_channels(self.alpha, self.beta)
 
     def is_null(self, tol: float = NULL_TOL) -> bool:
-        return bool(min(abs(self.alpha), abs(self.beta)) <= tol)
+        return self.to_bicomplex().is_null(tol)
 
     def to_json(self) -> dict:
         return {
@@ -356,12 +361,9 @@ def inverse(Z: Bicomplex, tol: float = NULL_TOL) -> Bicomplex:
         If min(|alpha|, |beta|) <= tol, i.e. Z is a zero divisor (or too
         close to one for a stable reciprocal).
     """
-    a, b = Z.alpha, Z.beta
-    amin = np.min(np.abs(a)) if isinstance(a, np.ndarray) else abs(a)
-    bmin = np.min(np.abs(b)) if isinstance(b, np.ndarray) else abs(b)
-    if min(amin, bmin) <= tol:
+    if Z.is_null(tol):
         raise NullConeError(f"value within {tol} of the null cone has no inverse")
-    return Bicomplex.from_channels(1.0 / a, 1.0 / b)
+    return Bicomplex.from_channels(1.0 / Z.alpha, 1.0 / Z.beta)
 
 
 def is_null_cone(Z: Bicomplex, tol: float = NULL_TOL) -> bool:

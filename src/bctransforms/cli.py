@@ -44,15 +44,16 @@ class _ConfigError(Exception):
     pass
 
 
-def _parse_floats(text: str, count: int, what: str) -> list[float]:
-    parts = [p for p in text.replace("=", ",").split(",") if p.strip()]
+def _parse_floats(text: str | None, count: int, what: str) -> list[float]:
+    if text is None:
+        raise _ConfigError(f"{what} is required")
     # tolerate a leading name tag like "Z=0.3,0.1,..."
-    vals = []
-    for p in parts:
-        try:
-            vals.append(float(p))
-        except ValueError:
-            continue
+    tag, sep, rest = text.partition("=")
+    body = rest if sep and tag.strip().isidentifier() else text
+    try:
+        vals = [float(p) for p in body.split(",") if p.strip()]
+    except ValueError:
+        vals = []
     if len(vals) != count:
         raise _ConfigError(f"{what} expects {count} comma-separated floats, got {text!r}")
     return vals
@@ -124,7 +125,6 @@ def _cmd_verify(args) -> int:
         order=args.order,
         seed=args.seed,
         theta=theta,
-        jobs=args.jobs,
     )
     width = max(len(c.id) for c in report.cases)
     for c in report.cases:
@@ -277,7 +277,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--nu", type=float, default=2.0)
     p_verify.add_argument("--order", type=int, default=64)
     p_verify.add_argument("--seed", type=int, default=20240817)
-    p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--out", help="write JSON report here (CSV sibling alongside)")
     _add_theta_flags(p_verify)
     p_verify.set_defaults(fn=_cmd_verify)

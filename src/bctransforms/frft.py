@@ -10,12 +10,15 @@ On basis vectors the transform scales psi_n by theta**n, so the coefficient
 map c_n -> theta**n c_n is the primary data path.  The equivalent integral
 form uses the Gaussian kernel
 
-    (c_0 / sqrt(1 - theta**2)) exp(-sigma (x - theta y)**2 / (1 - theta**2)),
+    (c_0 / sqrt(1 - theta**2)) exp(-S (x - theta y)**2),   S = sigma / (1 - theta**2),
 
 whose real decay rate in x is exactly sigma/2 on the unit torus and faster
 inside it, so the quadrature rule always carries gamma = sigma/2 with the
-residual folded in.  The kernel equals c_0 exp(-sigma x**2) times the closed
-Mehler sum, which is how the series oracle checks it.
+residual folded in.  Every kernel here is built from that one exponent: the
+continued kernel puts a ring point Z in place of y, and the closed Mehler
+sums add sigma x**2 to it, so the rotation kernel equals c_0 exp(-sigma x**2)
+times the closed Mehler sum by construction.  The series oracles instead sum
+theta**n H_n(x) H_n(y) / ||H_n||**2 term by term.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .bicomplex import (
 )
 from .bargmann import HermiteCoeffVector
 from .errors import DomainError, ExcludedParameterError
-from .hermite import hermite_sigma, hermite_sigma_bc, hermite_norm_sq
+from .hermite import _ladder, hermite_norm_sq
 from .quadrature import DEFAULT_ORDER, gauss_hermite, integrate_real, normalization_c
 
 __all__ = [
@@ -107,23 +110,33 @@ class ThetaParam:
         return cls(as_bicomplex(theta), mode="interior")
 
 
-def _one_minus_sq(theta: Bicomplex) -> Bicomplex:
-    pd = ONE - theta * theta
+def _rotation(
+    sigma: float, theta, guard: Callable = as_bicomplex
+) -> tuple[Bicomplex, Bicomplex, Bicomplex]:
+    """Validated ``(theta, (1 - theta**2)**(-1/2), S = sigma / (1 - theta**2))``.
+
+    sigma is checked first, then ``guard`` validates and returns theta, then
+    1 - theta**2 must stay off the null cone.
+    """
+    if not sigma > 0:
+        raise ValueError("sigma must be positive")
+    th = guard(theta)
+    pd = ONE - th * th
     if pd.is_null(EXCLUSION_TOL):
         raise ExcludedParameterError("1 - theta**2 is a zero divisor; theta is excluded")
-    return pd
+    return th, bc_inverse(sqrt_principal(pd)), sigma * bc_inverse(pd)
+
+
+def _exponent(S: Bicomplex, theta: Bicomplex, x, Y) -> Bicomplex:
+    """The exponent -S (x - theta Y)**2 shared by every rotation kernel."""
+    D = x - theta * Y
+    return -(S * (D * D))
 
 
 def frft_kernel(sigma: float, theta: ThetaParam, x, y) -> Bicomplex:
     """Gaussian rotation kernel at real points ``x``, ``y``."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    th = theta.theta
-    pd = _one_minus_sq(th)
-    pref = normalization_c(0, sigma) * bc_inverse(sqrt_principal(pd))
-    S = sigma * bc_inverse(pd)
-    D = x - th * y
-    return pref * bc_exp(-(S * (D * D)))
+    th, pref, S = _rotation(sigma, theta.theta)
+    return (normalization_c(0, sigma) * pref) * bc_exp(_exponent(S, th, x, y))
 
 
 def frft_coefficients(psi: HermiteCoeffVector, theta: ThetaParam) -> HermiteCoeffVector:
@@ -150,27 +163,21 @@ def frft_apply(
 
     A HermiteCoeffVector goes through the exact coefficient path.  A callable
     is integrated against the kernel with rule weight sigma/2 and the
-    residual exp(+(sigma/2) x**2) folded in; ``sigma`` is then required.
+    residual exp(+(sigma/2) x**2) folded into the exponent; ``sigma`` is then
+    required.
     """
     if isinstance(psi, HermiteCoeffVector):
         return frft_coefficients(psi, theta).evaluate(y)
     if sigma is None:
         raise TypeError("sigma is required when psi is a callable")
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    th = theta.theta
-    pd = _one_minus_sq(th)
-    pref = normalization_c(0, sigma) * bc_inverse(sqrt_principal(pd))
-    S = sigma * bc_inverse(pd)
+    th, pref, S = _rotation(sigma, theta.theta)
     rule = gauss_hermite(order, sigma / 2.0)
-    thy = th * y
 
     def integrand(x):
-        D = x - thy
-        return bc_exp(-(S * (D * D)) + (0.5 * sigma) * x**2) * as_bicomplex(psi(x))
+        return bc_exp(_exponent(S, th, x, y) + (0.5 * sigma) * x**2) * as_bicomplex(psi(x))
 
     val = integrate_real(integrand, rule, vectorized=vectorized)
-    return pref * val
+    return (normalization_c(0, sigma) * pref) * val
 
 
 def frft_inverse(
@@ -199,77 +206,59 @@ def _mehler_guard(theta: Bicomplex) -> Bicomplex:
 
 def mehler_closed(sigma: float, theta, x, y) -> Bicomplex:
     """Closed Mehler sum (1-theta**2)**(-1/2) exp((-sigma theta**2 (x**2+y**2)
-    + 2 sigma theta x y) / (1-theta**2)) at real points."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    th = _mehler_guard(theta)
-    pd = _one_minus_sq(th)
-    inv_pd = bc_inverse(pd)
-    expo = (-(sigma) * (th * th) * (x * x + y * y) + (2.0 * sigma * x * y) * th) * inv_pd
-    return bc_inverse(sqrt_principal(pd)) * bc_exp(expo)
+    + 2 sigma theta x y) / (1-theta**2)) at real points.
+
+    The exponent is the rotation exponent -S (x - theta y)**2 plus sigma x**2.
+    """
+    th, pref, S = _rotation(sigma, theta, _mehler_guard)
+    return pref * bc_exp(_exponent(S, th, x, y) + sigma * x * x)
 
 
 def mehler_series(sigma: float, theta, x, y, n_terms: int = 60) -> Bicomplex:
     """Partial Mehler sum sum_n theta**n H_n(x) H_n(y) / (2**n sigma**n n!)."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    th = _mehler_guard(theta)
+    th, _, _ = _rotation(sigma, theta, _mehler_guard)
     acc = ONE
     power = ONE
-    for n in range(1, n_terms):
+    ladders = zip(_ladder(n_terms - 1, sigma, x), _ladder(n_terms - 1, sigma, y))
+    next(ladders)  # the n = 0 term is the ONE already in acc
+    for n, (hx, hy) in enumerate(ladders, start=1):
         power = power * th
-        acc = acc + power * (
-            hermite_sigma(n, sigma, x) * hermite_sigma(n, sigma, y) / hermite_norm_sq(n, sigma)
-        )
+        acc = acc + power * (hx * hy / hermite_norm_sq(n, sigma))
     return acc
 
 
 def mehler_bilinear_bc(sigma: float, theta, Z: Bicomplex, y) -> Bicomplex:
-    """Closed Mehler sum with the first argument bicomplex."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    th = _mehler_guard(theta)
-    Z = as_bicomplex(Z)
-    pd = _one_minus_sq(th)
-    inv_pd = bc_inverse(pd)
-    expo = (-(sigma) * (th * th) * (Z * Z + y * y) + (2.0 * sigma * y) * (th * Z)) * inv_pd
-    return bc_inverse(sqrt_principal(pd)) * bc_exp(expo)
+    """Closed Mehler sum with the first argument bicomplex.
+
+    The sum is symmetric in its two arguments, so the exponent is the
+    rotation exponent -S (y - theta Z)**2 plus sigma y**2.
+    """
+    th, pref, S = _rotation(sigma, theta, _mehler_guard)
+    return pref * bc_exp(_exponent(S, th, y, as_bicomplex(Z)) + sigma * y * y)
 
 
 def mehler_bilinear_series(sigma: float, theta, Z: Bicomplex, y, n_terms: int = 60) -> Bicomplex:
     """Series oracle for :func:`mehler_bilinear_bc`."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    th = _mehler_guard(theta)
-    Z = as_bicomplex(Z)
+    th, _, _ = _rotation(sigma, theta, _mehler_guard)
     acc = ONE
     power = ONE
-    for n in range(1, n_terms):
+    ladders = zip(_ladder(n_terms - 1, sigma, as_bicomplex(Z)), _ladder(n_terms - 1, sigma, y))
+    next(ladders)  # the n = 0 term is the ONE already in acc
+    for n, (hz, hy) in enumerate(ladders, start=1):
         power = power * th
-        acc = acc + (power * hermite_sigma_bc(n, sigma, Z)) * (
-            hermite_sigma(n, sigma, y) / hermite_norm_sq(n, sigma)
-        )
+        acc = acc + (power * hz) * (hy / hermite_norm_sq(n, sigma))
     return acc
 
 
 def ck_frft_kernel(sigma: float, theta: ThetaParam, x, Z: Bicomplex) -> Bicomplex:
     """Kernel with the output argument continued off the real line.
 
-    Restricting Z to a real y recovers frft_kernel(sigma, theta, x, y); the
+    This is frft_kernel with the real y replaced by the ring point Z, so
+    restricting Z to a real y recovers frft_kernel(sigma, theta, x, y); the
     whole expression equals c_0 exp(-sigma x**2) times the bilinear Mehler
     closed form.
     """
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    th = theta.theta
-    Z = as_bicomplex(Z)
-    pd = _one_minus_sq(th)
-    inv_pd = bc_inverse(pd)
-    pref = normalization_c(0, sigma) * bc_inverse(sqrt_principal(pd))
-    expo = (
-        -(sigma) * (th * th) * (Z * Z) - (sigma * x * x) * ONE + (2.0 * sigma * x) * (th * Z)
-    ) * inv_pd
-    return pref * bc_exp(expo)
+    return frft_kernel(sigma, theta, x, as_bicomplex(Z))
 
 
 def gaussian_integral_closed(gamma: float, a: complex, b: complex, c: complex, d: complex) -> complex:

@@ -20,8 +20,7 @@ pairs this basis with the monomial basis of the holomorphic side.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from collections import deque
 
 from .bicomplex import Bicomplex, ONE, as_bicomplex, conj_star, exp as bc_exp
 
@@ -47,29 +46,29 @@ def _validate(n: int, sigma: float) -> None:
         raise ValueError("sigma must be positive")
 
 
+def _ladder(n: int, sigma: float, x):
+    """Yield H_0(x) .. H_n(x) by the three-term recurrence.
+
+    ``x`` may be a real scalar, an ndarray or a Bicomplex value.
+    """
+    h_prev, h = 0.0, ONE if isinstance(x, Bicomplex) else 1.0 + 0.0 * x
+    yield h
+    two_sigma_x = 2.0 * sigma * x
+    for k in range(n):
+        h_prev, h = h, two_sigma_x * h - (2.0 * sigma * k) * h_prev
+        yield h
+
+
 def hermite_sigma(n: int, sigma: float, x):
     """Evaluate H_n at real ``x`` (scalar or ndarray) by upward recurrence."""
     _validate(n, sigma)
-    h_prev = 1.0 + 0.0 * x
-    if n == 0:
-        return h_prev
-    h_cur = 2.0 * sigma * x
-    for k in range(1, n):
-        h_prev, h_cur = h_cur, 2.0 * sigma * x * h_cur - 2.0 * sigma * k * h_prev
-    return h_cur
+    return deque(_ladder(n, sigma, x), maxlen=1)[0]
 
 
 def hermite_sigma_bc(n: int, sigma: float, Z: Bicomplex) -> Bicomplex:
     """Evaluate H_n at a bicomplex argument via the same recurrence."""
     _validate(n, sigma)
-    Z = as_bicomplex(Z)
-    h_prev = ONE
-    if n == 0:
-        return h_prev
-    h_cur = 2.0 * sigma * Z
-    for k in range(1, n):
-        h_prev, h_cur = h_cur, 2.0 * sigma * (Z * h_cur) - (2.0 * sigma * k) * h_prev
-    return h_cur
+    return deque(_ladder(n, sigma, as_bicomplex(Z)), maxlen=1)[0]
 
 
 def hermite_norm_sq(n: int, sigma: float) -> float:
@@ -88,16 +87,9 @@ def psi_n(n: int, sigma: float, x):
 def psi_values(n_max: int, sigma: float, x) -> list:
     """All of psi_0 .. psi_{n_max} at ``x`` in one recurrence pass."""
     _validate(n_max, sigma)
-    out = [1.0 + 0.0 * x]
-    if n_max == 0:
-        return out
-    h_prev = out[0]
-    h_cur = 2.0 * sigma * x
-    out.append(h_cur / math.sqrt(hermite_norm_sq(1, sigma)))
-    for k in range(1, n_max):
-        h_prev, h_cur = h_cur, 2.0 * sigma * x * h_cur - 2.0 * sigma * k * h_prev
-        out.append(h_cur / math.sqrt(hermite_norm_sq(k + 1, sigma)))
-    return out
+    return [
+        h / math.sqrt(hermite_norm_sq(k, sigma)) for k, h in enumerate(_ladder(n_max, sigma, x))
+    ]
 
 
 def generating_G(sigma: float, nu: float, x, Z: Bicomplex) -> Bicomplex:
@@ -121,18 +113,13 @@ def generating_series(sigma: float, nu: float, x, Z: Bicomplex, n_terms: int = 6
     if n_terms < 1:
         raise ValueError("need at least one term")
     Zs = conj_star(as_bicomplex(Z))
-    acc = as_bicomplex(1.0 + 0.0 * x)
-    h_prev = 1.0 + 0.0 * x
-    h_cur = None
+    ladder = _ladder(n_terms - 1, sigma, x)
+    acc = as_bicomplex(next(ladder))
     power = ONE
-    for n in range(1, n_terms):
-        if n == 1:
-            h_cur = 2.0 * sigma * x
-        else:
-            h_prev, h_cur = h_cur, 2.0 * sigma * x * h_cur - 2.0 * sigma * (n - 1) * h_prev
+    for n, h in enumerate(ladder, start=1):
         power = power * Zs
         denom = math.sqrt(hermite_norm_sq(n, sigma)) * math.sqrt(
             2.0**n * math.factorial(n) / nu**n
         )
-        acc = acc + (power * h_cur) * (1.0 / denom)
+        acc = acc + (power * h) * (1.0 / denom)
     return acc

@@ -109,9 +109,21 @@ def _check_finite(values: Bicomplex) -> None:
         raise NonFiniteError("integrand produced a non-finite value at a quadrature node")
 
 
-def _weighted_sum(values: Bicomplex, weights: np.ndarray) -> Bicomplex:
-    _check_finite(values)
-    return Bicomplex(complex(np.sum(weights * values.z1)), complex(np.sum(weights * values.z2)))
+def _weighted_sum(f: Callable, points: np.ndarray, weights: np.ndarray, vectorized: bool) -> Bicomplex:
+    """Sum ``weights * f(points)``: one call on the whole array, or one call per point."""
+    if vectorized:
+        values = as_bicomplex(f(points))
+        _check_finite(values)
+        return Bicomplex(complex(np.sum(weights * values.z1)), complex(np.sum(weights * values.z2)))
+    acc_z1 = 0j
+    acc_z2 = 0j
+    for t, w in zip(points.tolist(), weights.tolist()):
+        v = as_bicomplex(f(t))
+        acc_z1 += w * v.z1
+        acc_z2 += w * v.z2
+    out = Bicomplex(acc_z1, acc_z2)
+    _check_finite(out)
+    return out
 
 
 def integrate_real(
@@ -122,17 +134,7 @@ def integrate_real(
     ``f`` may return scalars or Bicomplex values.  With ``vectorized=True``
     it is called once on the whole node array and must broadcast.
     """
-    if vectorized:
-        return _weighted_sum(as_bicomplex(f(rule.nodes)), rule.weights)
-    acc_z1 = 0j
-    acc_z2 = 0j
-    for t, w in zip(rule.nodes.tolist(), rule.weights.tolist()):
-        v = as_bicomplex(f(t))
-        acc_z1 += w * v.z1
-        acc_z2 += w * v.z2
-    out = Bicomplex(acc_z1, acc_z2)
-    _check_finite(out)
-    return out
+    return _weighted_sum(f, rule.nodes, rule.weights, vectorized)
 
 
 def _complex_grid(rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
@@ -152,17 +154,7 @@ def integrate_complex(
     applied as a tensor product over both real coordinates.
     """
     xi, w2 = _complex_grid(rule)
-    if vectorized:
-        return _weighted_sum(as_bicomplex(f(xi)), w2)
-    acc_z1 = 0j
-    acc_z2 = 0j
-    for point, w in zip(xi.tolist(), w2.tolist()):
-        v = as_bicomplex(f(point))
-        acc_z1 += w * v.z1
-        acc_z2 += w * v.z2
-    out = Bicomplex(acc_z1, acc_z2)
-    _check_finite(out)
-    return out
+    return _weighted_sum(f, xi, w2, vectorized)
 
 
 def integrate_bicomplex(

@@ -3,8 +3,8 @@
 Each suite is a list of cases; a case computes a scalar error that must stay
 below its tolerance.  Errors are measured in the Euclidean bicomplex norm
 (or in ulps where noted).  Reports serialize to JSON and CSV; with a fixed
-seed and a single thread the content is reproducible run to run, apart from
-the wall-time field.
+seed the content is reproducible run to run, apart from the wall-time
+field.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -1111,7 +1110,6 @@ def run_suite(
     order: int = 64,
     seed: int = 20240817,
     theta: ThetaParam | None = None,
-    jobs: int = 1,
 ) -> VerificationReport:
     """Run one named suite (or "all") and return its report."""
     if suite not in SUITE_NAMES:
@@ -1121,18 +1119,8 @@ def run_suite(
     cases: list[_Case] = []
     for name in names:
         cases.extend(_SUITES[name](params))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_case, cases))
-    else:
-        results = [_run_case(c) for c in cases]
-    report_params = {
-        "sigma": sigma,
-        "nu": nu,
-        "order": order,
-        "seed": seed,
-        "jobs": jobs,
-    }
+    results = [_run_case(c) for c in cases]
+    report_params = {"sigma": sigma, "nu": nu, "order": order, "seed": seed}
     if theta is not None:
         report_params["theta"] = theta.theta.to_json()
         report_params["theta_mode"] = theta.mode

@@ -242,6 +242,20 @@ class TestNormAndNullCone:
             bt.inverse(Z)
         assert bt.inverse(Z, tol=1e-14) is not None
 
+    def test_is_null_on_array_components(self):
+        near = Bicomplex.from_channels(np.array([1.0, 1e-13, 2.0]), np.ones(3))
+        far = Bicomplex.from_channels(np.array([1.0, 0.5, 2.0]), np.ones(3))
+        assert near.is_null() is True
+        assert far.is_null() is False
+        assert bt.is_null_cone(near)
+        assert bt.to_idempotent(near).is_null()
+        assert not bt.to_idempotent(far).is_null()
+        with pytest.raises(NullConeError):
+            bt.inverse(near)
+        product = far * bt.inverse(far)
+        assert_allclose(product.z1, 1.0, atol=1e-15)
+        assert_allclose(product.z2, 0.0, atol=1e-15)
+
 
 class TestTranscendental:
     def test_exp_additive(self, rng):

@@ -272,6 +272,26 @@ class TestKernel:
         )
         assert_allclose(data["value"], [1.0, 0.0, 0.0, 0.0], atol=0.0)
 
+    @pytest.mark.parametrize("kind", ["KBC", "SBT", "SBTC", "G", "CK", "KC"])
+    def test_missing_point_flag_is_config_error(self, capsys, kind):
+        argv = ["kernel", "--type", kind]
+        if kind == "CK":
+            argv += ["--theta-phases", "0.9,1.7"]
+        assert main(argv) == 2
+        assert "is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "Z", ["0.3,abc,0.1,0.2,0.5", "0.3,0.1,0.2", "0.3=0.1,0.2,0.5,0.7", "Z=0.3,x=0.1,0.2,0.5"]
+    )
+    def test_bad_tokens_are_config_errors(self, capsys, Z):
+        assert main(["kernel", "--type", "SBT", "--Z", Z]) == 2
+        assert "expects 4 comma-separated floats" in capsys.readouterr().err
+
+    def test_leading_name_tag_tolerated(self, capsys):
+        tagged = run_json(capsys, ["kernel", "--type", "SBT", "--Z", "Z=0.3,0.1,0.2,0.5"])
+        plain = run_json(capsys, ["kernel", "--type", "SBT", "--Z", "0.3,0.1,0.2,0.5"])
+        assert tagged == plain
+
 
 class TestMehler:
     def test_grid_output(self, capsys):

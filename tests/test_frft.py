@@ -238,6 +238,53 @@ class TestMehler:
             mehler_closed(0.0, 0.5, 0.0, 0.0)
 
 
+# A channel 1e-10 inside the unit disc passes ThetaParam.interior, but
+# 1 - theta**2 is then within EXCLUSION_TOL of the null cone.
+NEAR_ONE = ThetaParam.interior(Bicomplex.from_channels(1.0 - 1e-10, 0.5))
+RING_POINT = Bicomplex.from_reals(0.2, 0.1, -0.1, 0.05)
+
+# (call(sigma, theta), an excluded theta, a theta outside the Mehler domain)
+GUARDED = [
+    pytest.param(lambda s, th: frft_kernel(s, th, 0.3, -0.2), NEAR_ONE, None, id="frft_kernel"),
+    pytest.param(
+        lambda s, th: frft_apply(lambda x: 1.0, th, 0.1, sigma=s, order=8), NEAR_ONE, None,
+        id="frft_apply",
+    ),
+    pytest.param(
+        lambda s, th: ck_frft_kernel(s, th, 0.3, RING_POINT), NEAR_ONE, None, id="ck_frft_kernel"
+    ),
+    pytest.param(lambda s, th: mehler_closed(s, th, 0.3, -0.2), 1.0, 1.5, id="mehler_closed"),
+    pytest.param(
+        lambda s, th: mehler_bilinear_bc(s, th, RING_POINT, -0.2),
+        Bicomplex.from_channels(0.3, -1.0), Bicomplex.from_channels(0.3, 1.2j),
+        id="mehler_bilinear_bc",
+    ),
+    pytest.param(
+        lambda s, th: mehler_series(s, th, 0.3, -0.2, n_terms=5), -1.0, 1.5, id="mehler_series"
+    ),
+    pytest.param(
+        lambda s, th: mehler_bilinear_series(s, th, RING_POINT, -0.2, n_terms=5),
+        Bicomplex.from_channels(1.0, 0.3), Bicomplex.from_channels(-1.1, 0.3),
+        id="mehler_bilinear_series",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, excluded, outside", GUARDED)
+def test_shared_guards(call, excluded, outside):
+    for sigma in (0.0, -1.0):
+        # sigma is checked before theta, so a bad theta does not mask it
+        with pytest.raises(ValueError) as info:
+            call(sigma, excluded)
+        assert info.type is ValueError
+    with pytest.raises(ExcludedParameterError):
+        call(SIGMA, excluded)
+    if outside is not None:
+        with pytest.raises(ValueError, match="moduli <= 1") as info:
+            call(SIGMA, outside)
+        assert info.type is ValueError
+
+
 class TestGaussianIntegral:
     def test_no_quadratic_terms_oracle(self):
         gamma = 1.5

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from bctransforms import (
@@ -137,6 +138,22 @@ class TestBicomplexArgument:
         got = hermite_sigma_bc(4, 1.0, 2.5)
         assert_allclose(got.z1, hermite_sigma(4, 1.0, 2.5), rtol=1e-14)
         assert_allclose(got.z2, 0.0, atol=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+        b=st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+        n=st.integers(0, 15),
+        sigma=st.floats(0.25, 2.0),
+    )
+    def test_ladder_is_channelwise(self, a, b, n, sigma):
+        got = hermite_sigma_bc(n, sigma, Bicomplex.from_channels(a, b))
+        # |H_n(i r)| bounds every term of the recurrence at |x| <= r, so it
+        # scales the rounding error of either channel
+        scale = abs(hermite_sigma(n, sigma, 1j * max(abs(a), abs(b))))
+        tol = 1e-12 * scale + 1e-300
+        assert abs(got.alpha - hermite_sigma(n, sigma, a)) <= tol
+        assert abs(got.beta - hermite_sigma(n, sigma, b)) <= tol
 
 
 class TestGeneratingFunction:
