@@ -8,6 +8,10 @@ Two finite coefficient representations are used throughout the package:
   ring expanded in monomials Z**n, square-summable against exp(-nu |Z|**2)
   with squared monomial norms 2**n n! / nu**n.
 
+Both store ``coeffs`` as one array-valued Bicomplex whose channels are the
+coefficient arrays; ``coeffs[n]`` and iteration yield Bicomplex values, and
+the constructors also accept a sequence of scalars or Bicomplex values.
+
 Inner products are bicomplex-valued and conjugate-linear in the second slot.
 The scalar ``norm_sq`` of a vector is the mean of the two channel norms,
 equivalently the weighted sum of squared Euclidean moduli of the
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +34,7 @@ from .bicomplex import (
     exp as bc_exp,
     norm as bc_norm,
 )
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteError
 from .hermite import psi_values
 from .quadrature import (
     DEFAULT_BC_ORDER,
@@ -58,104 +62,107 @@ __all__ = [
 _LOG_NORM_DEGREE = 150
 
 
-def _coerce_coeffs(coeffs: Sequence) -> tuple[Bicomplex, ...]:
-    out = tuple(as_bicomplex(c) for c in coeffs)
-    if not out:
-        raise ValueError("coefficient vector must not be empty")
-    return out
+def _monomial_scale(degree: int, nu: float) -> np.ndarray:
+    """r_n = (nu**n / (2**n n!))**(1/2), n = 0..degree, by r_n = r_{n-1} (nu/(2n))**(1/2).
+
+    r_n is the forward coefficient map; 1 / r_n**2 is the squared monomial norm.
+    """
+    if not nu > 0:
+        raise ValueError("nu must be positive")
+    ratios = np.sqrt(nu / (2.0 * np.arange(1, degree + 1)))
+    return np.cumprod(np.concatenate(([1.0], ratios)))
+
+
+class _CoeffVector:
+    """Validation, basis and wire code shared by the two coefficient vectors;
+    ``_param`` names the weight parameter, the first constructor argument."""
+
+    _param: str
+
+    def __post_init__(self):
+        if not getattr(self, self._param) > 0:
+            raise ValueError(f"{self._param} must be positive")
+        c = self.coeffs
+        if not isinstance(c, Bicomplex):
+            items = [as_bicomplex(v) for v in c]
+            c = Bicomplex.from_channels([v.alpha for v in items], [v.beta for v in items])
+        alpha, beta = np.asarray(c.alpha, dtype=complex), np.asarray(c.beta, dtype=complex)
+        if alpha.ndim != 1 or alpha.shape != beta.shape or not alpha.size:
+            raise ValueError("coefficients must form a non-empty one-dimensional sequence")
+        if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
+            raise NonFiniteError("coefficient vector has a non-finite entry")
+        object.__setattr__(self, "coeffs", Bicomplex.from_channels(alpha, beta))
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs.alpha) - 1
+
+    @classmethod
+    def basis(cls, n: int, param: float):
+        """The unit vector in slot ``n`` for weight parameter ``param``."""
+        unit = np.zeros(n + 1, dtype=complex)
+        unit[n] = 1.0
+        return cls(param, Bicomplex.from_channels(unit, unit.copy()))
+
+    def _norm_sq(self, scale=1.0) -> float:
+        """sum_n (|c_n| / scale_n)**2; an overflow raises instead of returning inf."""
+        out = float(np.sum((bc_norm(self.coeffs) / scale) ** 2))
+        if not math.isfinite(out):
+            raise NonFiniteError("squared norm is outside float range")
+        return out
+
+    def to_json(self) -> dict:
+        # a decoded vector re-encodes the rows it came from: its channels hold
+        # each component only to 1 ulp at pair scale, its rows hold it exactly
+        rows = getattr(self, "_rows", None)
+        if rows is None:
+            rows = self.coeffs._wire()
+        return {self._param: getattr(self, self._param), "coeffs": rows.tolist()}
+
+    @classmethod
+    def from_json(cls, data: dict):
+        if cls._param not in data or "coeffs" not in data:
+            raise DimensionMismatch(f"expected keys {cls._param!r} and 'coeffs'")
+        rows = np.array(data["coeffs"], dtype=float)
+        out = cls(float(data[cls._param]), Bicomplex.from_json(rows))
+        rows.flags.writeable = False
+        object.__setattr__(out, "_rows", rows)
+        return out
 
 
 @dataclass(frozen=True)
-class HermiteCoeffVector:
+class HermiteCoeffVector(_CoeffVector):
     """Finite expansion sum_n c_n psi_n in the weighted Hermite basis."""
 
     sigma: float
-    coeffs: tuple[Bicomplex, ...]
-
-    def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
-        object.__setattr__(self, "coeffs", _coerce_coeffs(self.coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def basis(cls, n: int, sigma: float) -> "HermiteCoeffVector":
-        """The unit vector psi_n."""
-        coeffs = [Bicomplex(0j, 0j)] * n + [Bicomplex(1 + 0j, 0j)]
-        return cls(sigma=sigma, coeffs=tuple(coeffs))
+    coeffs: Bicomplex
+    _param = "sigma"
 
     def evaluate(self, x):
         """Value of the expansion at real ``x`` (scalar or ndarray)."""
-        vals = psi_values(self.degree, self.sigma, x)
-        acc = self.coeffs[0] * vals[0]
-        for c, v in zip(self.coeffs[1:], vals[1:]):
-            acc = acc + c * v
-        return acc
+        vals = np.array(psi_values(self.degree, self.sigma, x))
+        a, b = (np.einsum("n,n...->...", ch, vals) for ch in (self.coeffs.alpha, self.coeffs.beta))
+        return Bicomplex.from_channels(a, b)
 
     def norm_sq(self) -> float:
         """Sum of squared Euclidean moduli of the coefficients."""
-        return float(sum(bc_norm(c) ** 2 for c in self.coeffs))
-
-    def to_json(self) -> dict:
-        return {"sigma": self.sigma, "coeffs": [c.to_json() for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "HermiteCoeffVector":
-        if "sigma" not in data or "coeffs" not in data:
-            raise DimensionMismatch("expected keys 'sigma' and 'coeffs'")
-        return cls(
-            sigma=float(data["sigma"]),
-            coeffs=tuple(Bicomplex.from_json(c) for c in data["coeffs"]),
-        )
+        return self._norm_sq()
 
 
 @dataclass(frozen=True)
-class MonomialCoeffVector:
+class MonomialCoeffVector(_CoeffVector):
     """Finite expansion sum_n A_n Z**n of a holomorphic polynomial."""
 
     nu: float
-    coeffs: tuple[Bicomplex, ...]
-
-    def __post_init__(self):
-        if not self.nu > 0:
-            raise ValueError("nu must be positive")
-        object.__setattr__(self, "coeffs", _coerce_coeffs(self.coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def basis(cls, n: int, nu: float) -> "MonomialCoeffVector":
-        coeffs = [Bicomplex(0j, 0j)] * n + [Bicomplex(1 + 0j, 0j)]
-        return cls(nu=nu, coeffs=tuple(coeffs))
+    coeffs: Bicomplex
+    _param = "nu"
 
     def evaluate(self, Z: Bicomplex) -> Bicomplex:
         return eval_monomial_series(self, Z)
 
     def norm_sq(self) -> float:
         """Weighted sum of squared coefficient moduli, weights 2**n n!/nu**n."""
-        return float(
-            sum(
-                monomial_norm_sq(n, self.nu) * bc_norm(c) ** 2
-                for n, c in enumerate(self.coeffs)
-            )
-        )
-
-    def to_json(self) -> dict:
-        return {"nu": self.nu, "coeffs": [c.to_json() for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "MonomialCoeffVector":
-        if "nu" not in data or "coeffs" not in data:
-            raise DimensionMismatch("expected keys 'nu' and 'coeffs'")
-        return cls(
-            nu=float(data["nu"]),
-            coeffs=tuple(Bicomplex.from_json(c) for c in data["coeffs"]),
-        )
+        return self._norm_sq(_monomial_scale(self.degree, self.nu))
 
 
 def kernel_K_C(gamma: float, z: complex, w: complex) -> complex:
@@ -183,14 +190,15 @@ def monomial_norm_sq(n: int, nu: float) -> float:
     return 2.0**n * math.factorial(n) / nu**n
 
 
-def _pairwise_inner(f_coeffs, g_coeffs, weight=None) -> Bicomplex:
-    acc = Bicomplex(0j, 0j)
-    for n, (c, d) in enumerate(zip(f_coeffs, g_coeffs)):
-        term = bc_inner(c, d)
-        if weight is not None:
-            term = weight(n) * term
-        acc = acc + term
-    return acc
+def _pairwise_inner(f: Bicomplex, g: Bicomplex) -> Bicomplex:
+    """sum_n f_n g_n* over the common length of two coefficient arrays; a sum
+    outside float range raises instead of returning inf or NaN."""
+    n = min(len(f.alpha), len(g.alpha))
+    p = bc_inner(f[:n], g[:n])
+    a, b = np.sum(p.alpha), np.sum(p.beta)
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise NonFiniteError("coefficient pairing is outside float range")
+    return Bicomplex.from_channels(a, b)
 
 
 def inner_L2sigma(
@@ -250,7 +258,9 @@ def inner_H2nu(
     if f_vec and g_vec:
         if abs(f.nu - g.nu) > 1e-12:
             raise DimensionMismatch(f"nu mismatch: {f.nu} vs {g.nu}")
-        return _pairwise_inner(f.coeffs, g.coeffs, weight=lambda n: monomial_norm_sq(n, f.nu))
+        n = min(f.degree, g.degree) + 1
+        s = _monomial_scale(n - 1, f.nu)  # pair A_n / r_n, as norm_sq does
+        return _pairwise_inner(f.coeffs[:n] / s, g.coeffs[:n] / s)
     nv = nu
     if nv is None:
         nv = f.nu if f_vec else (g.nu if g_vec else None)
@@ -295,17 +305,10 @@ def project_P(
 def eval_monomial_series(f: MonomialCoeffVector, Z: Bicomplex) -> Bicomplex:
     """Evaluate sum_n A_n Z**n by channelwise Horner recursion."""
     Z = as_bicomplex(Z)
-    a_coeffs = [c.alpha for c in f.coeffs]
-    b_coeffs = [c.beta for c in f.coeffs]
-    za, zb = Z.alpha, Z.beta
-    acc_a = a_coeffs[-1] + 0 * za
-    acc_b = b_coeffs[-1] + 0 * zb
-    for ca, cb in zip(a_coeffs[-2::-1], b_coeffs[-2::-1]):
-        acc_a = acc_a * za + ca
-        acc_b = acc_b * zb + cb
-    return Bicomplex.from_channels(acc_a, acc_b)
+    c = f.coeffs
+    return Bicomplex.from_channels(np.polyval(c.alpha[::-1], Z.alpha), np.polyval(c.beta[::-1], Z.beta))
 
 
 def idempotent_split_F(f: MonomialCoeffVector) -> tuple[list[complex], list[complex]]:
     """Channel coefficient lists (alpha side, beta side) of a holomorphic vector."""
-    return [c.alpha for c in f.coeffs], [c.beta for c in f.coeffs]
+    return f.coeffs.alpha.tolist(), f.coeffs.beta.tolist()

@@ -12,13 +12,16 @@ splits the algebra into two complex channels,
 
     Z = alpha e+ + beta e-,    alpha = z1 - i z2,  beta = z1 + i z2,
 
-and every product, power and transcendental function acts channelwise.
-All multiplicative operations below route through that decomposition;
-the canonical stored form stays (z1, z2).
+and every product, power and transcendental function acts channelwise, so
+a value is stored as its channel pair (alpha, beta).  The components z1, z2
+and x1 .. y2 are derived on demand and read only at the boundary:
+construction from components, ``repr`` and JSON.  Each conversion rounds
+once per real field, at most 1 ulp at the scale of its mixing partner.
 
-Components may be plain scalars or equally shaped numpy arrays.  Every
+Channels may be plain scalars or equally shaped numpy arrays.  Every
 operation broadcasts elementwise, which the quadrature code relies on to
-evaluate integrands on whole node grids at once.  Instances are immutable.
+evaluate integrands on whole node grids at once.  An array-valued value
+indexes and iterates along its first axis.  Instances are immutable.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import BranchCutError, NullConeError
+from .errors import BranchCutError, NonFiniteError, NullConeError
 
 __all__ = [
     "Bicomplex",
@@ -73,7 +76,7 @@ def _min_abs(v) -> float:
 
 
 class Bicomplex:
-    """Immutable bicomplex value z1 + j z2.
+    """Immutable bicomplex value z1 + j z2, stored as its channels (alpha, beta).
 
     Parameters
     ----------
@@ -81,15 +84,15 @@ class Bicomplex:
         The two complex components in the canonical (1, j) basis.
     """
 
-    __slots__ = ("z1", "z2")
+    __slots__ = ("alpha", "beta")
 
     # keep numpy from absorbing us into object arrays; binary ops with
     # ndarrays must dispatch to the reflected methods below
     __array_ufunc__ = None
 
     def __init__(self, z1: Scalar | np.ndarray = 0j, z2: Scalar | np.ndarray = 0j):
-        object.__setattr__(self, "z1", z1)
-        object.__setattr__(self, "z2", z2)
+        object.__setattr__(self, "alpha", z1 - 1j * z2)
+        object.__setattr__(self, "beta", z1 + 1j * z2)
 
     def __setattr__(self, name, value):
         raise AttributeError("Bicomplex values are immutable")
@@ -103,77 +106,90 @@ class Bicomplex:
 
     @classmethod
     def from_complex(cls, z: Scalar | np.ndarray) -> "Bicomplex":
-        """Embed a complex number as z + j*0."""
-        return cls(z, np.zeros_like(z) if isinstance(z, np.ndarray) else 0j)
+        """Embed a complex number as z + j*0; both channels equal z."""
+        return cls.from_channels(z, z)
 
     @classmethod
     def from_channels(cls, alpha, beta) -> "Bicomplex":
         """Build from the idempotent channel values (alpha, beta)."""
-        return cls((alpha + beta) / 2, 1j * (alpha - beta) / 2)
+        Z = object.__new__(cls)
+        object.__setattr__(Z, "alpha", alpha)
+        object.__setattr__(Z, "beta", beta)
+        return Z
 
     @classmethod
     def from_json(cls, data) -> "Bicomplex":
-        """Decode the wire form [x1, y1, x2, y2]."""
-        x1, y1, x2, y2 = (float(v) for v in data)
-        return cls.from_reals(x1, y1, x2, y2)
+        """Decode the wire form [x1, y1, x2, y2]; a list of such rows decodes to
+        a value with one-dimensional channel arrays.  A non-finite component
+        raises NonFiniteError."""
+        rows = np.asarray(data, dtype=float)
+        if rows.ndim not in (1, 2) or rows.shape[-1] != 4:
+            raise ValueError(f"expected [x1, y1, x2, y2] or a list of them, got shape {rows.shape}")
+        if not np.all(np.isfinite(rows)):
+            raise NonFiniteError("JSON value has a non-finite component")
+        x1, y1, x2, y2 = rows.tolist() if rows.ndim == 1 else rows.T
+        return cls(x1 + 1j * y1, x2 + 1j * y2)
 
     # -- coordinates ---------------------------------------------------
 
     @property
-    def x1(self):
-        return np.real(self.z1) if isinstance(self.z1, np.ndarray) else self.z1.real
+    def z1(self):
+        return (self.alpha + self.beta) / 2
 
     @property
-    def y1(self):
-        return np.imag(self.z1) if isinstance(self.z1, np.ndarray) else self.z1.imag
+    def z2(self):
+        return 0.5j * (self.alpha - self.beta)
 
-    @property
-    def x2(self):
-        return np.real(self.z2) if isinstance(self.z2, np.ndarray) else self.z2.real
+    x1 = property(lambda self: self.z1.real)
+    y1 = property(lambda self: self.z1.imag)
+    x2 = property(lambda self: self.z2.real)
+    y2 = property(lambda self: self.z2.imag)
 
-    @property
-    def y2(self):
-        return np.imag(self.z2) if isinstance(self.z2, np.ndarray) else self.z2.imag
-
-    @property
-    def alpha(self):
-        """e+ channel value z1 - i z2."""
-        return self.z1 - 1j * self.z2
-
-    @property
-    def beta(self):
-        """e- channel value z1 + i z2."""
-        return self.z1 + 1j * self.z2
+    def _wire(self) -> np.ndarray:
+        """Components as a float array of shape (..., 4); non-finite ones are refused."""
+        z1, z2 = self.z1, self.z2
+        rows = np.stack([z1.real, z1.imag, z2.real, z2.imag], axis=-1)
+        if not np.all(np.isfinite(rows)):
+            raise NonFiniteError("cannot JSON-encode a non-finite component")
+        return rows
 
     def to_json(self) -> list[float]:
         """Encode as [x1, y1, x2, y2]."""
-        if isinstance(self.z1, np.ndarray) or isinstance(self.z2, np.ndarray):
+        if np.ndim(self.alpha) or np.ndim(self.beta):
             raise TypeError("array-valued Bicomplex cannot be JSON-encoded")
-        return [float(self.x1), float(self.y1), float(self.x2), float(self.y2)]
+        return self._wire().tolist()
+
+    # -- array-valued values ------------------------------------------
+
+    def __getitem__(self, index) -> "Bicomplex":
+        return Bicomplex.from_channels(self.alpha[index], self.beta[index])
+
+    def __iter__(self):
+        return map(Bicomplex.from_channels, self.alpha, self.beta)
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Bicomplex):
-            return Bicomplex(self.z1 + other.z1, self.z2 + other.z2)
+            return Bicomplex.from_channels(self.alpha + other.alpha, self.beta + other.beta)
         if isinstance(other, (Number, np.ndarray)):
-            return Bicomplex(self.z1 + other, self.z2 + 0 * other)
+            return Bicomplex.from_channels(self.alpha + other, self.beta + other)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Bicomplex):
-            return Bicomplex(self.z1 - other.z1, self.z2 - other.z2)
+            return Bicomplex.from_channels(self.alpha - other.alpha, self.beta - other.beta)
         if isinstance(other, (Number, np.ndarray)):
-            return Bicomplex(self.z1 - other, self.z2 - 0 * other)
+            return Bicomplex.from_channels(self.alpha - other, self.beta - other)
         return NotImplemented
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return Bicomplex(-self.z1, -self.z2)
+        return Bicomplex.from_channels(-self.alpha, -self.beta)
 
     def __pos__(self):
         return self
@@ -182,7 +198,7 @@ class Bicomplex:
         if isinstance(other, Bicomplex):
             return Bicomplex.from_channels(self.alpha * other.alpha, self.beta * other.beta)
         if isinstance(other, (Number, np.ndarray)):
-            return Bicomplex(self.z1 * other, self.z2 * other)
+            return Bicomplex.from_channels(self.alpha * other, self.beta * other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -191,7 +207,7 @@ class Bicomplex:
         if isinstance(other, Bicomplex):
             return self * inverse(other)
         if isinstance(other, (Number, np.ndarray)):
-            return Bicomplex(self.z1 / other, self.z2 / other)
+            return Bicomplex.from_channels(self.alpha / other, self.beta / other)
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -204,8 +220,7 @@ class Bicomplex:
             return NotImplemented
         if n < 0:
             return inverse(self) ** (-n)
-        a, b = self.alpha, self.beta
-        return Bicomplex.from_channels(a**n, b**n)
+        return Bicomplex.from_channels(self.alpha**n, self.beta**n)
 
     def __abs__(self) -> float:
         return norm(self)
@@ -213,7 +228,7 @@ class Bicomplex:
     def __eq__(self, other):
         if not isinstance(other, Bicomplex):
             return NotImplemented
-        return bool(np.array_equal(self.z1, other.z1) and np.array_equal(self.z2, other.z2))
+        return bool(np.array_equal(self.alpha, other.alpha) and np.array_equal(self.beta, other.beta))
 
     def __repr__(self):
         return f"Bicomplex({self.z1!r}, {self.z2!r})"
@@ -221,7 +236,7 @@ class Bicomplex:
     # -- predicates ----------------------------------------------------
 
     def is_null(self, tol: float = NULL_TOL) -> bool:
-        """True when the value (any point of it, for array components) lies
+        """True when the value (any point of it, for array channels) lies
         within ``tol`` of the null cone."""
         return bool(min(_min_abs(self.alpha), _min_abs(self.beta)) <= tol)
 
@@ -260,9 +275,9 @@ def as_bicomplex(value) -> Bicomplex:
     if isinstance(value, Bicomplex):
         return value
     if isinstance(value, np.ndarray):
-        return Bicomplex(value.astype(complex, copy=False), np.zeros_like(value, dtype=complex))
+        return Bicomplex.from_complex(value.astype(complex, copy=False))
     if isinstance(value, Number):
-        return Bicomplex(complex(value), 0j)
+        return Bicomplex.from_complex(complex(value))
     raise TypeError(f"cannot interpret {type(value).__name__} as Bicomplex")
 
 
@@ -298,12 +313,12 @@ def mul(Z: Bicomplex, W) -> Bicomplex:
 
 def conj_dagger(Z: Bicomplex) -> Bicomplex:
     """j-conjugation z1 - j z2; swaps the channels."""
-    return Bicomplex(Z.z1, -Z.z2)
+    return Bicomplex.from_channels(Z.beta, Z.alpha)
 
 
 def conj_tilde(Z: Bicomplex) -> Bicomplex:
     """i-conjugation conj(z1) + j conj(z2); conjugate-swaps the channels."""
-    return Bicomplex(np.conjugate(Z.z1), np.conjugate(Z.z2))
+    return Bicomplex.from_channels(Z.beta.conjugate(), Z.alpha.conjugate())
 
 
 def conj_star(Z: Bicomplex) -> Bicomplex:
@@ -311,14 +326,16 @@ def conj_star(Z: Bicomplex) -> Bicomplex:
 
     This is the conjugation used by every inner product in the package.
     """
-    return Bicomplex(np.conjugate(Z.z1), -np.conjugate(Z.z2))
+    return Bicomplex.from_channels(Z.alpha.conjugate(), Z.beta.conjugate())
 
 
 def norm(Z: Bicomplex) -> float:
-    """Euclidean norm sqrt(|z1|^2 + |z2|^2) of the four real coordinates."""
-    if isinstance(Z.z1, np.ndarray) or isinstance(Z.z2, np.ndarray):
-        return np.sqrt(np.abs(Z.z1) ** 2 + np.abs(Z.z2) ** 2)
-    return math.hypot(Z.z1.real, Z.z1.imag, Z.z2.real, Z.z2.imag)
+    """Euclidean norm sqrt(|z1|^2 + |z2|^2) = hypot(|alpha|, |beta|) / sqrt(2),
+    scaled so that no square overflows or underflows."""
+    a, b = Z.alpha, Z.beta
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.hypot(np.abs(a), np.abs(b)) / math.sqrt(2.0)
+    return math.hypot(a.real, a.imag, b.real, b.imag) / math.sqrt(2.0)
 
 
 def exp(Z: Bicomplex) -> Bicomplex:
@@ -344,12 +361,9 @@ def sqrt_principal(Z: Bicomplex) -> Bicomplex:
     """
     a, b = Z.alpha, Z.beta
     for name, v in (("alpha", a), ("beta", b)):
-        vals = np.atleast_1d(np.asarray(v, dtype=complex))
-        if np.any((vals.imag == 0.0) & (vals.real <= 0.0)):
+        if np.any((v.imag == 0.0) & (v.real <= 0.0)):
             raise BranchCutError(f"{name} channel lies on the branch cut (closed negative real axis)")
-    ra = np.sqrt(a) if isinstance(a, np.ndarray) else np.sqrt(complex(a)).item()
-    rb = np.sqrt(b) if isinstance(b, np.ndarray) else np.sqrt(complex(b)).item()
-    return Bicomplex.from_channels(ra, rb)
+    return Bicomplex.from_channels(np.sqrt(a + 0j), np.sqrt(b + 0j))
 
 
 def inverse(Z: Bicomplex, tol: float = NULL_TOL) -> Bicomplex:

@@ -16,6 +16,7 @@ input error (bad flags, schema violations, excluded parameters).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -35,7 +36,7 @@ from .frft import (
 )
 from .hermite import generating_G
 from .transforms import sbt_forward, sbt_inverse_coeff, sbt_kernel_BC, sbt_kernel_C
-from .verification import SUITE_NAMES, run_suite
+from .verification import SUITE_NAMES, _worst, run_suite
 
 __all__ = ["main"]
 
@@ -249,7 +250,7 @@ def _cmd_mehler(args) -> int:
             closed = mehler_closed(args.sigma, theta, float(x), float(y))
             series = mehler_series(args.sigma, theta, float(x), float(y), n_terms=args.terms)
             err = bc_norm(closed - series)
-            worst = max(worst, err)
+            worst = _worst(worst, err)
             lines.append(f"{float(x)!r},{float(y)!r},{err!r}")
     _emit("\n".join(lines) + "\n", args.out)
     print(f"max closed-vs-series error {worst:.3e} over {len(grid) ** 2} points", file=sys.stderr)
@@ -264,6 +265,7 @@ def _add_theta_flags(sub) -> None:
     sub.add_argument("--theta", help="theta as four comma-separated reals x1,y1,x2,y2")
 
 
+@functools.cache  # parsing does not mutate the parser, so one build serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bctransforms",

@@ -65,8 +65,9 @@ _UNIT_TOL = 1e-12
 
 
 def _check_not_excluded(theta: Bicomplex) -> None:
+    # each theta guard tests "not (inside the allowed set)", so a NaN channel fails it
     for name, v in (("alpha", theta.alpha), ("beta", theta.beta)):
-        if abs(v - 1.0) <= EXCLUSION_TOL or abs(v + 1.0) <= EXCLUSION_TOL:
+        if not (abs(v - 1.0) > EXCLUSION_TOL and abs(v + 1.0) > EXCLUSION_TOL):
             raise ExcludedParameterError(
                 f"theta {name} channel within {EXCLUSION_TOL} of +/-1; the rotation is singular there"
             )
@@ -89,13 +90,13 @@ class ThetaParam:
         object.__setattr__(self, "theta", th)
         if self.mode == "unit_torus":
             for name, v in (("alpha", th.alpha), ("beta", th.beta)):
-                if abs(abs(v) - 1.0) > _UNIT_TOL:
+                if not abs(abs(v) - 1.0) <= _UNIT_TOL:
                     raise ExcludedParameterError(
                         f"theta {name} channel modulus {abs(v)!r} is not on the unit circle"
                     )
             _check_not_excluded(th)
         elif self.mode == "interior":
-            if max(abs(th.alpha), abs(th.beta)) >= 1.0:
+            if not (abs(th.alpha) < 1.0 and abs(th.beta) < 1.0):
                 raise ExcludedParameterError("interior theta needs both channel moduli < 1")
         else:
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -142,12 +143,12 @@ def frft_kernel(sigma: float, theta: ThetaParam, x, y) -> Bicomplex:
 def frft_coefficients(psi: HermiteCoeffVector, theta: ThetaParam) -> HermiteCoeffVector:
     """Diagonal coefficient map c_n -> theta**n c_n."""
     th = theta.theta
-    power = ONE
-    out = [psi.coeffs[0]]
-    for c in psi.coeffs[1:]:
-        power = power * th
-        out.append(power * c)
-    return HermiteCoeffVector(sigma=psi.sigma, coeffs=tuple(out))
+
+    def powers(t):  # t**0 .. t**degree by repeated multiplication
+        return np.cumprod(np.concatenate(([1.0 + 0j], np.full(psi.degree, t))))
+
+    theta_n = Bicomplex.from_channels(powers(th.alpha), powers(th.beta))
+    return HermiteCoeffVector(psi.sigma, theta_n * psi.coeffs)
 
 
 def frft_apply(
@@ -199,7 +200,7 @@ def frft_inverse(
 def _mehler_guard(theta: Bicomplex) -> Bicomplex:
     th = as_bicomplex(theta)
     _check_not_excluded(th)
-    if max(abs(th.alpha), abs(th.beta)) > 1.0 + _UNIT_TOL:
+    if not (abs(th.alpha) <= 1.0 + _UNIT_TOL and abs(th.beta) <= 1.0 + _UNIT_TOL):
         raise ValueError("Mehler kernel needs channel moduli <= 1")
     return th
 

@@ -105,7 +105,7 @@ def gauss_hermite(order: int, gamma: float = 1.0) -> QuadratureRule:
 
 
 def _check_finite(values: Bicomplex) -> None:
-    if not (np.all(np.isfinite(values.z1)) and np.all(np.isfinite(values.z2))):
+    if not (np.all(np.isfinite(values.alpha)) and np.all(np.isfinite(values.beta))):
         raise NonFiniteError("integrand produced a non-finite value at a quadrature node")
 
 
@@ -114,14 +114,13 @@ def _weighted_sum(f: Callable, points: np.ndarray, weights: np.ndarray, vectoriz
     if vectorized:
         values = as_bicomplex(f(points))
         _check_finite(values)
-        return Bicomplex(complex(np.sum(weights * values.z1)), complex(np.sum(weights * values.z2)))
-    acc_z1 = 0j
-    acc_z2 = 0j
+        return Bicomplex.from_channels(complex(np.sum(weights * values.alpha)), complex(np.sum(weights * values.beta)))
+    acc_a = acc_b = 0j
     for t, w in zip(points.tolist(), weights.tolist()):
         v = as_bicomplex(f(t))
-        acc_z1 += w * v.z1
-        acc_z2 += w * v.z2
-    out = Bicomplex(acc_z1, acc_z2)
+        acc_a += w * v.alpha
+        acc_b += w * v.beta
+    out = Bicomplex.from_channels(acc_a, acc_b)
     _check_finite(out)
     return out
 

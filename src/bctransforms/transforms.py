@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .bicomplex import Bicomplex, as_bicomplex, conj_star, exp as bc_exp
-from .bargmann import HermiteCoeffVector, MonomialCoeffVector
+from .bargmann import HermiteCoeffVector, MonomialCoeffVector, _monomial_scale
 from .quadrature import (
     DEFAULT_ORDER,
     gauss_hermite,
@@ -77,24 +77,12 @@ def sbt_kernel_BC(sigma: float, nu: float, x: float, Z: Bicomplex) -> Bicomplex:
 
 def sbt_forward(phi: HermiteCoeffVector, nu: float) -> MonomialCoeffVector:
     """Diagonal coefficient map c_n -> c_n (nu**n / 2**n n!)**(1/2)."""
-    if not nu > 0:
-        raise ValueError("nu must be positive")
-    scaled = tuple(
-        c * math.sqrt(nu**n / (2.0**n * math.factorial(n)))
-        for n, c in enumerate(phi.coeffs)
-    )
-    return MonomialCoeffVector(nu=nu, coeffs=scaled)
+    return MonomialCoeffVector(nu, phi.coeffs * _monomial_scale(phi.degree, nu))
 
 
 def sbt_inverse_coeff(f: MonomialCoeffVector, sigma: float) -> HermiteCoeffVector:
     """Inverse diagonal map A_n -> A_n (2**n n! / nu**n)**(1/2)."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    scaled = tuple(
-        c * math.sqrt(2.0**n * math.factorial(n) / f.nu**n)
-        for n, c in enumerate(f.coeffs)
-    )
-    return HermiteCoeffVector(sigma=sigma, coeffs=scaled)
+    return HermiteCoeffVector(sigma, f.coeffs / _monomial_scale(f.degree, f.nu))
 
 
 def sbt_forward_integral(
@@ -125,11 +113,6 @@ def sbt_forward_integral(
     return normalization_c(0, sigma) * val
 
 
-def _channel_values(f: Callable, xi: np.ndarray) -> Bicomplex:
-    """Evaluate a holomorphic ``f`` on the complex slice; channels ride along."""
-    return as_bicomplex(f(Bicomplex(xi, np.zeros_like(xi))))
-
-
 def sbt_inverse_integral(
     f: Callable,
     sigma: float,
@@ -158,9 +141,8 @@ def sbt_inverse_integral(
 
     if method == "split":
         def integrand(xi):
-            vals = _channel_values(f, xi)
             resid = np.exp(-0.25 * nu * np.conjugate(xi) ** 2 + root * x * np.conjugate(xi))
-            return Bicomplex.from_channels(resid * vals.alpha, resid * vals.beta)
+            return resid * as_bicomplex(f(Bicomplex.from_complex(xi)))
 
         val = integrate_complex(integrand, rule, vectorized=True)
         return normalization_c(1, nu / 2.0) * val

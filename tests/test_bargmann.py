@@ -21,8 +21,9 @@ from bctransforms import (
     norm as bc_norm,
     project_P,
     psi_n,
+    sbt_forward,
 )
-from bctransforms.errors import DimensionMismatch
+from bctransforms.errors import DimensionMismatch, NonFiniteError
 
 from conftest import assert_bc_close, rand_bc
 
@@ -90,6 +91,33 @@ class TestCoeffVectors:
             HermiteCoeffVector.from_json({"coeffs": []})
         with pytest.raises(DimensionMismatch):
             MonomialCoeffVector.from_json({"nu": 2.0})
+
+    @pytest.mark.parametrize("cls, param", [(HermiteCoeffVector, "sigma"), (MonomialCoeffVector, "nu")])
+    def test_json_roundtrip_is_exact(self, cls, param):
+        # decoding and re-encoding returns the same numbers bit for bit, although
+        # the channels hold each component only to 1 ulp at pair scale
+        rows = np.random.default_rng(5).standard_normal((40, 4)) * np.logspace(-8, 8, 4)
+        data = {param: 1.25, "coeffs": rows.tolist()}
+        assert cls.from_json(data).to_json() == data
+
+    def test_coeffs_is_one_array_value(self):
+        v = HermiteCoeffVector(sigma=1.0, coeffs=(1.0, Bicomplex(0.5j, 2 + 0j), 3))
+        assert isinstance(v.coeffs, Bicomplex)
+        assert v.coeffs.alpha.shape == v.coeffs.beta.shape == (3,)
+        assert v.coeffs[1] == Bicomplex(0.5j, 2 + 0j)
+        assert [c.z1 for c in v.coeffs] == [1.0, 0.5j, 3.0]
+        with pytest.raises(ValueError):
+            HermiteCoeffVector(sigma=1.0, coeffs=Bicomplex(1j, 0j))
+
+    def test_non_finite_wire_values_are_refused(self):
+        with pytest.raises(NonFiniteError):
+            HermiteCoeffVector.from_json({"sigma": 1.0, "coeffs": [[1.0, 0.0, 0.0, 0.0], [0.0, math.nan, 0.0, 0.0]]})
+        with pytest.raises(NonFiniteError):
+            MonomialCoeffVector.from_json({"nu": 2.0, "coeffs": [[math.inf, 0.0, 0.0, 0.0]]})
+        # finite channels whose components overflow cannot be encoded
+        huge = np.array([1e308 + 0j])
+        with pytest.raises(NonFiniteError):
+            HermiteCoeffVector(sigma=1.0, coeffs=Bicomplex.from_channels(huge, huge)).to_json()
 
     def test_idempotent_split(self):
         f = MonomialCoeffVector(nu=2.0, coeffs=(Bicomplex(1 + 0j, 1j), Bicomplex(0j, 2j)))
@@ -206,6 +234,22 @@ class TestInnerProducts:
                 want = monomial_norm_sq(n, nu) if m == n else 0.0
                 assert_allclose(val.z1, want, atol=1e-13)
                 assert_allclose(val.z2, 0.0, atol=1e-13)
+
+    def test_H2nu_pairs_high_degrees_like_norm_sq(self):
+        # the weight 2**n n!/nu**n itself overflows from degree 171 at nu = 2
+        h = HermiteCoeffVector.from_json(
+            {"sigma": 1.0, "coeffs": np.random.default_rng(3).standard_normal((201, 4)).tolist()}
+        )
+        F = sbt_forward(h, 2.0)
+        val = inner_H2nu(F, F)
+        assert math.isfinite(val.z1.real)
+        assert_allclose(val.z1.real, F.norm_sq(), rtol=1e-14)
+        assert_allclose(val.z1.real, h.norm_sq(), rtol=1e-13)
+        f = MonomialCoeffVector.basis(200, 2.0)
+        with pytest.raises(NonFiniteError):
+            inner_H2nu(f, f)
+        with pytest.raises(NonFiniteError):
+            f.norm_sq()
 
     def test_H2nu_quadrature_route(self):
         nu = 2.0

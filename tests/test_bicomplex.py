@@ -1,7 +1,9 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import bctransforms as bt
@@ -14,9 +16,11 @@ from bctransforms import (
     conj_star,
     conj_tilde,
 )
-from bctransforms.errors import BranchCutError, NullConeError
+from bctransforms.errors import BranchCutError, NonFiniteError, NullConeError
 
 from conftest import assert_bc_close, rand_bc
+
+_REALS = st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4)
 
 
 class TestConstants:
@@ -90,17 +94,62 @@ class TestConstruction:
         with pytest.raises(TypeError):
             Z.to_json()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_json_rejects_non_finite(self, bad):
+        with pytest.raises(NonFiniteError):
+            Bicomplex.from_json([0.5, bad, 0.0, 1.0])
+        with pytest.raises(NonFiniteError):
+            Bicomplex.from_json([[0.5, 0.0, 0.0, 1.0], [0.0, 0.0, bad, 0.0]])
+        with pytest.raises(NonFiniteError):
+            Bicomplex(complex(bad, 0.0), 1j).to_json()
+
+    def test_json_decodes_rows_to_array_value(self):
+        Z = Bicomplex.from_json([[1.0, 2.0, 3.0, 4.0], [0.5, 0.0, -0.5, 0.25]])
+        assert_allclose(Z.z1, [1 + 2j, 0.5])
+        assert_allclose(Z.z2, [3 + 4j, -0.5 + 0.25j])
+
+
+class TestArrayValued:
+    def test_indexing_and_iteration_yield_bicomplex(self):
+        Z = Bicomplex(np.array([1 + 2j, 3j, -1.0]), np.array([0.5j, 2.0, 1 - 1j]))
+        assert Z[1] == Bicomplex.from_channels(Z.alpha[1], Z.beta[1])
+        assert Z[-1] == Bicomplex.from_channels(Z.alpha[2], Z.beta[2])
+        assert Z[1:] == Bicomplex.from_channels(Z.alpha[1:], Z.beta[1:])
+        items = list(Z)
+        assert len(items) == 3
+        assert all(isinstance(c, Bicomplex) for c in items)
+        assert items[0] == Z[0]
+
+    def test_scalar_value_is_truthy_and_not_iterable(self):
+        Z = Bicomplex(1j, 0j)
+        assert bool(Z)
+        with pytest.raises(TypeError):
+            iter(Z)
+
 
 class TestArithmetic:
     def test_mul_matches_channelwise(self, rng):
-        # the product is computed in channels and mapped back, so each channel
-        # is correct to a few ulp at the scale of the larger channel
+        # channels are formed here from the sampled reals, so the check does
+        # not depend on how a value is stored; each channel is correct to a
+        # few ulp at the scale of the larger channel
+        def channels(x):
+            return complex(x[0] + x[3], x[1] - x[2]), complex(x[0] - x[3], x[1] + x[2])
+
         for _ in range(100):
-            Z, W = rand_bc(rng), rand_bc(rng)
-            P = Z * W
-            scale = max(abs(Z.alpha * W.alpha), abs(Z.beta * W.beta), 1e-300)
-            assert abs(P.alpha - Z.alpha * W.alpha) <= 4 * np.spacing(scale)
-            assert abs(P.beta - Z.beta * W.beta) <= 4 * np.spacing(scale)
+            x, y = rng.standard_normal(4), rng.standard_normal(4)
+            (za, zb), (wa, wb) = channels(x), channels(y)
+            P = Bicomplex.from_reals(*x) * Bicomplex.from_reals(*y)
+            scale = max(abs(za * wa), abs(zb * wb), 1e-300)
+            assert abs(P.alpha - za * wa) <= 4 * np.spacing(scale)
+            assert abs(P.beta - zb * wb) <= 4 * np.spacing(scale)
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=_REALS, y=_REALS)
+    def test_mul_matches_component_formula(self, x, y):
+        Z, W = Bicomplex.from_reals(*x), Bicomplex.from_reals(*y)
+        z1, z2, w1, w2 = complex(x[0], x[1]), complex(x[2], x[3]), complex(y[0], y[1]), complex(y[2], y[3])
+        want = Bicomplex(z1 * w1 - z2 * w2, z1 * w2 + z2 * w1)
+        assert bt.norm(Z * W - want) <= 1e-14 * bt.norm(Z) * bt.norm(W)
 
     def test_mul_commutes_and_distributes(self, rng):
         Z, W, V = (rand_bc(rng) for _ in range(3))
@@ -214,6 +263,14 @@ class TestNormAndNullCone:
         Z = Bicomplex(np.array([3.0 + 0j, 0j]), np.array([4.0 + 0j, 0j]))
         assert_allclose(bt.norm(Z), [5.0, 0.0])
 
+    @pytest.mark.parametrize("x", [1e-170, 1e-300, 1e200, 1e300])
+    def test_norm_has_no_intermediate_overflow_or_underflow(self, x):
+        Z = Bicomplex(complex(x, 0.0), complex(0.0, 0.0))
+        assert_allclose(bt.norm(Z), x, rtol=1e-15)
+        assert_allclose(bt.norm(Bicomplex.from_reals(x, x, x, x)), 2.0 * x, rtol=1e-15)
+        arr = Bicomplex(np.array([x + 0j, 3.0 + 0j]), np.array([0j, 4.0 + 0j]))
+        assert_allclose(bt.norm(arr), [x, 5.0], rtol=1e-15)
+
     def test_null_cone_members(self):
         assert bt.is_null_cone(bt.E_PLUS)
         assert bt.is_null_cone(bt.E_MINUS)
@@ -271,6 +328,13 @@ class TestTranscendental:
         got = bt.exp(t * bt.J)
         want = math.cos(t) + math.sin(t) * bt.J
         assert_bc_close(got, want, tol=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=_REALS)
+    def test_exp_matches_component_formula(self, x):
+        z1, z2 = complex(x[0], x[1]), complex(x[2], x[3])
+        want = cmath.exp(z1) * (cmath.cos(z2) + cmath.sin(z2) * bt.J)
+        assert bt.norm(bt.exp(Bicomplex.from_reals(*x)) - want) <= 1e-14 * bt.norm(want)
 
     def test_exp_channelwise(self, rng):
         Z = rand_bc(rng)

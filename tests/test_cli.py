@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bctransforms import Bicomplex, ThetaParam, kernel_K_C
+from bctransforms import Bicomplex, ThetaParam, kernel_K_C, mehler_closed
 from bctransforms.cli import main
 
 
@@ -75,6 +75,16 @@ class TestVerify:
             main(["verify", "--suite", "nope"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_nan_error_fails_case(self, capsys, monkeypatch):
+        # the builtin max(0.0, nan) is 0.0; the suite must not drop a NaN error
+        import bctransforms.verification as verification
+
+        monkeypatch.setattr(verification, "mehler_series", lambda *a, **k: Bicomplex(complex(math.nan, 0.0), 0j))
+        code = main(["verify", "--suite", "mehler"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "FAIL  mehler/closed-vs-series" in out and "error=nan" in out
 
     def test_underresolved_order_fails_cases(self, capsys):
         # 4 nodes cannot integrate the degree-24 orthonormality products
@@ -163,6 +173,18 @@ class TestTransform:
         path.write_text("{not json")
         assert main(["transform", "--input", str(path), "--nu", "2.0"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_coefficient_is_input_error(self, capsys, tmp_path, bad):
+        path = write_vector(tmp_path, "v.json", {"sigma": 1.0, "coeffs": [[0.5, bad, 0.0, 0.0]]})
+        assert main(["transform", "--input", path, "--nu", "2.0"]) == 2
+        assert "NonFiniteError" in capsys.readouterr().err
+
+    def test_overflowing_value_is_not_encoded(self, capsys, tmp_path):
+        path = write_vector(tmp_path, "v.json", {"sigma": 1.0, "coeffs": [[0.0, 0.0, 0.0, 0.0]] * 2 + [[1.0, 0.0, 0.0, 0.0]]})
+        assert main(["transform", "--input", path, "--nu", "2.0", "--eval", "1e300,0,0,0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "NonFiniteError" in captured.err
 
     def test_wrong_schema(self, capsys, tmp_path):
         path = write_vector(tmp_path, "w.json", {"coeffs": [[1, 0, 0, 0]]})
@@ -331,6 +353,34 @@ class TestMehler:
     def test_out_of_ball_theta(self, capsys):
         assert main(["mehler", "--theta", "1.5"]) == 2
         capsys.readouterr()
+
+
+# (kind, call): a library call must raise ValueError (ExcludedParameterError
+# is one), a CLI command must exit 2
+NON_FINITE_THETA = [
+    pytest.param("lib", lambda v, path: ThetaParam.from_phases(0.5, float(v)), id="from_phases"),
+    pytest.param("lib", lambda v, path: ThetaParam.interior(Bicomplex(complex(float(v), 0.0), 0j)), id="interior"),
+    pytest.param("lib", lambda v, path: mehler_closed(1.0, float(v), 0.3, -0.2), id="mehler_closed"),
+    pytest.param(
+        "cli",
+        lambda v, path: main(["frft", "--input", write_vector(path, "v.json", BASIS1), "--theta-phases", f"0.5,{v}"]),
+        id="frft",
+    ),
+    pytest.param("cli", lambda v, path: main(["kernel", "--type", "FRFT", "--theta-phases", f"0.5,{v}"]), id="kernel"),
+    pytest.param("cli", lambda v, path: main(["mehler", "--theta", v]), id="mehler"),
+    pytest.param("cli", lambda v, path: main(["verify", "--suite", "mehler", "--theta-phases", f"0.5,{v}"]), id="verify"),
+]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind, call", NON_FINITE_THETA)
+def test_non_finite_theta_fails_closed(kind, call, bad, capsys, tmp_path):
+    if kind == "cli":
+        assert call(bad, tmp_path) == 2
+        assert "error" in capsys.readouterr().err
+    else:
+        with pytest.raises(ValueError):
+            call(bad, tmp_path)
 
 
 def test_module_entry_point():
