@@ -180,14 +180,22 @@ def kernel_K_BC(nu: float, Z: Bicomplex, W: Bicomplex) -> Bicomplex:
 
 
 def monomial_norm_sq(n: int, nu: float) -> float:
-    """Squared norm 2**n n! / nu**n of the monomial Z**n."""
+    """Squared norm 2**n n! / nu**n of the monomial Z**n; a value outside
+    float range raises NonFiniteError."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     if not nu > 0:
         raise ValueError("nu must be positive")
-    if n > _LOG_NORM_DEGREE:
-        return math.exp(n * math.log(2.0 / nu) + math.lgamma(n + 1))
-    return 2.0**n * math.factorial(n) / nu**n
+    try:
+        if n > _LOG_NORM_DEGREE:
+            value = math.exp(n * math.log(2.0 / nu) + math.lgamma(n + 1))
+        else:
+            value = 2.0**n * math.factorial(n) / nu**n
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise NonFiniteError(f"monomial norm at degree {n}, nu={nu} is outside float range")
+    return value
 
 
 def _pairwise_inner(f: Bicomplex, g: Bicomplex) -> Bicomplex:

@@ -23,6 +23,7 @@ theta**n H_n(x) H_n(y) / ||H_n||**2 term by term.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -39,7 +40,7 @@ from .bicomplex import (
     sqrt_principal,
 )
 from .bargmann import HermiteCoeffVector
-from .errors import DomainError, ExcludedParameterError
+from .errors import DomainError, ExcludedParameterError, NonFiniteError
 from .hermite import _ladder, hermite_norm_sq
 from .quadrature import DEFAULT_ORDER, gauss_hermite, integrate_real, normalization_c
 
@@ -269,16 +270,19 @@ def gaussian_integral_closed(gamma: float, a: complex, b: complex, c: complex, d
     = pi / sqrt(gamma**2 - 4ab) * exp((a d**2 + b c**2 + gamma c d)
                                       / (gamma**2 - 4ab)).
 
-    Convergence requires |Re(a + b)| < gamma; outside that the quadratic form
-    is not negative definite and DomainError is raised.  The square root is
-    the principal branch.
+    Convergence requires |Re(a + b)| < gamma; outside that (NaN included) the
+    quadratic form is not negative definite and DomainError is raised.  The
+    square root is the principal branch.  A value outside float range (an
+    overflowing exponent, or NaN/inf in the arguments) raises NonFiniteError.
     """
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     a, b, c, d = complex(a), complex(b), complex(c), complex(d)
-    if abs((a + b).real) >= gamma:
+    if not abs((a + b).real) < gamma:
         raise DomainError("requires |Re(a+b)| < gamma")
     disc = gamma * gamma - 4.0 * a * b
-    return complex(
-        math.pi / np.sqrt(disc) * np.exp((a * d * d + b * c * c + gamma * c * d) / disc)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex(math.pi / np.sqrt(disc) * np.exp((a * d * d + b * c * c + gamma * c * d) / disc))
+    if not cmath.isfinite(value):
+        raise NonFiniteError("closed Gaussian integral is outside float range")
+    return value

@@ -168,16 +168,19 @@ def _rand_bc_bounded(rng: np.random.Generator, radius: float) -> Bicomplex:
             return Z
 
 
+def _rand_coeffs(rng: np.random.Generator, degree: int) -> Bicomplex:
+    """``degree + 1`` coefficients as one array value; the same draws, in the
+    same order, as ``degree + 1`` calls of ``_rand_bc``."""
+    x1, y1, x2, y2 = rng.standard_normal((degree + 1, 4)).T
+    return Bicomplex(x1 + 1j * y1, x2 + 1j * y2)
+
+
 def _rand_hermite_vec(rng: np.random.Generator, degree: int, sigma: float) -> HermiteCoeffVector:
-    return HermiteCoeffVector(
-        sigma=sigma, coeffs=tuple(_rand_bc(rng) for _ in range(degree + 1))
-    )
+    return HermiteCoeffVector(sigma=sigma, coeffs=_rand_coeffs(rng, degree))
 
 
 def _rand_monomial_vec(rng: np.random.Generator, degree: int, nu: float) -> MonomialCoeffVector:
-    return MonomialCoeffVector(
-        nu=nu, coeffs=tuple(_rand_bc(rng) for _ in range(degree + 1))
-    )
+    return MonomialCoeffVector(nu=nu, coeffs=_rand_coeffs(rng, degree))
 
 
 def _worst(*errors: float) -> float:

@@ -190,6 +190,15 @@ class TestMonomialNorms:
         # nu = 2 keeps the value at n! which is representable up to n = 170
         assert_allclose(monomial_norm_sq(n, 2.0), float(math.factorial(n)), rtol=1e-12)
 
+    def test_last_finite_degree(self):
+        # 170! is the largest factorial below the float maximum
+        assert_allclose(monomial_norm_sq(170, 2.0), float(math.factorial(170)), rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [171, 500])
+    def test_outside_float_range_raises(self, n):
+        with pytest.raises(NonFiniteError):
+            monomial_norm_sq(n, 2.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             monomial_norm_sq(-1, 2.0)

@@ -25,7 +25,7 @@ from bctransforms import (
     normalization_c,
     psi_n,
 )
-from bctransforms.errors import DomainError, ExcludedParameterError
+from bctransforms.errors import DomainError, ExcludedParameterError, NonFiniteError
 
 from conftest import assert_bc_close
 
@@ -312,6 +312,21 @@ class TestGaussianIntegral:
             gaussian_integral_closed(1.0, 0.6, 0.5, 0.0, 0.0)
         with pytest.raises(ValueError):
             gaussian_integral_closed(0.0, 0.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_non_finite_argument_fails_closed(self, slot, bad):
+        # a non-finite real part of a or b fails the domain guard; every other
+        # non-finite input must still raise rather than return nan/inf
+        args = [0.1 + 0.05j, -0.08j, 0.3, 0.2 - 0.4j]
+        args[slot] = bad
+        guarded = slot < 2 and not math.isfinite(complex(bad).real)
+        with pytest.raises(DomainError if guarded else NonFiniteError):
+            gaussian_integral_closed(1.2, *args)
+
+    def test_overflowing_exponent_fails_closed(self):
+        with pytest.raises(NonFiniteError):
+            gaussian_integral_closed(1.0, 0.0, 0.0, 40.0, 40.0)
 
     def test_swap_symmetry(self):
         # the formula is invariant under (a,b,c,d) -> (b,a,d,c)

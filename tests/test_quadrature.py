@@ -162,9 +162,81 @@ class TestBicomplexIntegrals:
             integrate_bicomplex(lambda Z: 1.0, 3.0, rule)
 
 
+class TestBlockedRingGrid:
+    """The vectorized ring path evaluates blocks of whole alpha rows: one
+    block at order 7, 41 full blocks of 14 rows and a last one of 2 rows at
+    order 24, and one row per call at order 91 (91**2 points > 8192)."""
+
+    @pytest.mark.parametrize("order", [7, 24])
+    def test_matches_pointwise_loop(self, order):
+        rule = gauss_hermite(order, 1.0)
+        got = integrate_bicomplex(_mixed, 2.0, rule, vectorized=True)
+        want = integrate_bicomplex(_mixed, 2.0, rule)
+        _assert_channels_close(got, want, 1e-14)
+
+    @pytest.mark.parametrize("order", [7, 24, 91])
+    def test_matches_separable_sums(self, order):
+        # _mixed is a sum of products g(alpha) h(beta) in each channel, so
+        # the grid sum is a sum of products of planar sums under the same rule
+        rule = gauss_hermite(order, 1.0)
+
+        def planar(g):
+            return integrate_complex(g, rule, vectorized=True).alpha
+
+        m0 = planar(lambda xi: np.ones_like(xi))
+        m1 = planar(lambda xi: xi * xi.conjugate())
+        mean = planar(lambda xi: xi)
+        want = Bicomplex.from_channels(0.25 * (m1 * (m0 + m1) + mean * m0), 0.25 * m1 * (m0 + 2 * m1))
+        got = integrate_bicomplex(_mixed, 2.0, rule, vectorized=True)
+        _assert_channels_close(got, want, 1e-14)
+
+    def test_scalar_integrand_gives_unit_mass(self):
+        nu = 2.0
+        rule = gauss_hermite(DEFAULT_BC_ORDER, nu / 2.0)
+        got = integrate_bicomplex(lambda Z: 1.0, nu, rule, vectorized=True)
+        assert_allclose(scalar(got) * normalization_c("BC", nu), 1.0, rtol=1e-13)
+
+    def test_call_structure_at_order_24(self):
+        sizes = []
+
+        def f(Z):
+            assert Z.alpha.ndim == 1 and Z.alpha.shape == Z.beta.shape
+            sizes.append(Z.alpha.size)
+            return Z.alpha * 0 + 1.0
+
+        integrate_bicomplex(f, 2.0, gauss_hermite(24, 1.0), vectorized=True)
+        # 42 calls covering all 24**4 = 331 776 grid points
+        assert sizes == [14 * 24**2] * 41 + [2 * 24**2]
+
+    def test_nan_in_last_block_raises(self):
+        rule = gauss_hermite(24, 1.0)
+        last_alpha = complex(rule.nodes[-1], rule.nodes[-1])
+        calls = []
+
+        def f(Z):
+            calls.append(1)
+            return np.where(Z.alpha == last_alpha, np.nan, 1.0)
+
+        with pytest.raises(NonFiniteError):
+            integrate_bicomplex(f, 2.0, rule, vectorized=True)
+        assert len(calls) == 42
+
+
 def _normsq(Z):
     a, b = Z.alpha, Z.beta
     return ((a * np.conj(a)).real + (b * np.conj(b)).real) / 2.0
+
+
+def _mixed(Z):
+    """Not channelwise: each channel depends on both alpha and beta.  Works
+    on scalar and array channels alike."""
+    a, b = Z.alpha * Z.alpha.conjugate(), Z.beta * Z.beta.conjugate()
+    return Bicomplex.from_channels(a * (1 + b) + Z.alpha, b * (1 + 2 * a))
+
+
+def _assert_channels_close(got, want, rtol):
+    assert_allclose(complex(got.alpha), complex(want.alpha), rtol=rtol)
+    assert_allclose(complex(got.beta), complex(want.beta), rtol=rtol)
 
 
 class TestNormalization:
