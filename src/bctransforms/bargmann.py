@@ -28,13 +28,14 @@ import numpy as np
 
 from .bicomplex import (
     Bicomplex,
+    _require_finite,
     as_bicomplex,
     bc_inner,
     conj_star,
     exp as bc_exp,
     norm as bc_norm,
 )
-from .errors import DimensionMismatch, NonFiniteError
+from .errors import DimensionMismatch, NonFiniteError, _require_positive
 from .hermite import psi_values
 from .quadrature import (
     DEFAULT_BC_ORDER,
@@ -67,8 +68,7 @@ def _monomial_scale(degree: int, nu: float) -> np.ndarray:
 
     r_n is the forward coefficient map; 1 / r_n**2 is the squared monomial norm.
     """
-    if not nu > 0:
-        raise ValueError("nu must be positive")
+    _require_positive("nu", nu)
     ratios = np.sqrt(nu / (2.0 * np.arange(1, degree + 1)))
     return np.cumprod(np.concatenate(([1.0], ratios)))
 
@@ -80,8 +80,7 @@ class _CoeffVector:
     _param: str
 
     def __post_init__(self):
-        if not getattr(self, self._param) > 0:
-            raise ValueError(f"{self._param} must be positive")
+        _require_positive(self._param, getattr(self, self._param))
         c = self.coeffs
         if not isinstance(c, Bicomplex):
             items = [as_bicomplex(v) for v in c]
@@ -89,9 +88,8 @@ class _CoeffVector:
         alpha, beta = np.asarray(c.alpha, dtype=complex), np.asarray(c.beta, dtype=complex)
         if alpha.ndim != 1 or alpha.shape != beta.shape or not alpha.size:
             raise ValueError("coefficients must form a non-empty one-dimensional sequence")
-        if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
-            raise NonFiniteError("coefficient vector has a non-finite entry")
-        object.__setattr__(self, "coeffs", Bicomplex.from_channels(alpha, beta))
+        c = Bicomplex.from_channels(alpha, beta)
+        object.__setattr__(self, "coeffs", _require_finite(c, "coefficient vector has a non-finite entry"))
 
     @property
     def degree(self) -> int:
@@ -107,9 +105,7 @@ class _CoeffVector:
     def _norm_sq(self, scale=1.0) -> float:
         """sum_n (|c_n| / scale_n)**2; an overflow raises instead of returning inf."""
         out = float(np.sum((bc_norm(self.coeffs) / scale) ** 2))
-        if not math.isfinite(out):
-            raise NonFiniteError("squared norm is outside float range")
-        return out
+        return _require_finite(out, "squared norm is outside float range")
 
     def to_json(self) -> dict:
         # a decoded vector re-encodes the rows it came from: its channels hold
@@ -167,16 +163,15 @@ class MonomialCoeffVector(_CoeffVector):
 
 def kernel_K_C(gamma: float, z: complex, w: complex) -> complex:
     """Classical planar reproducing kernel exp(gamma z conj(w))."""
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    return np.exp(gamma * z * np.conjugate(w))
+    _require_positive("gamma", gamma)
+    return _require_finite(np.exp(gamma * z * np.conjugate(w)), "kernel_K_C is outside float range")
 
 
 def kernel_K_BC(nu: float, Z: Bicomplex, W: Bicomplex) -> Bicomplex:
     """Bicomplex reproducing kernel exp((nu/2) Z W*)."""
-    if not nu > 0:
-        raise ValueError("nu must be positive")
-    return bc_exp((0.5 * nu) * (as_bicomplex(Z) * conj_star(as_bicomplex(W))))
+    _require_positive("nu", nu)
+    K = bc_exp((0.5 * nu) * (as_bicomplex(Z) * conj_star(as_bicomplex(W))))
+    return _require_finite(K, "kernel_K_BC is outside float range")
 
 
 def monomial_norm_sq(n: int, nu: float) -> float:
@@ -184,8 +179,7 @@ def monomial_norm_sq(n: int, nu: float) -> float:
     float range raises NonFiniteError."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    if not nu > 0:
-        raise ValueError("nu must be positive")
+    _require_positive("nu", nu)
     try:
         if n > _LOG_NORM_DEGREE:
             value = math.exp(n * math.log(2.0 / nu) + math.lgamma(n + 1))
@@ -193,7 +187,7 @@ def monomial_norm_sq(n: int, nu: float) -> float:
             value = 2.0**n * math.factorial(n) / nu**n
     except (OverflowError, ZeroDivisionError):
         value = math.inf
-    if not math.isfinite(value):
+    if not 0 < value < math.inf:  # the norm is positive, so 0.0 is an underflow
         raise NonFiniteError(f"monomial norm at degree {n}, nu={nu} is outside float range")
     return value
 
@@ -203,10 +197,8 @@ def _pairwise_inner(f: Bicomplex, g: Bicomplex) -> Bicomplex:
     outside float range raises instead of returning inf or NaN."""
     n = min(len(f.alpha), len(g.alpha))
     p = bc_inner(f[:n], g[:n])
-    a, b = np.sum(p.alpha), np.sum(p.beta)
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise NonFiniteError("coefficient pairing is outside float range")
-    return Bicomplex.from_channels(a, b)
+    out = Bicomplex.from_channels(np.sum(p.alpha), np.sum(p.beta))
+    return _require_finite(out, "coefficient pairing is outside float range")
 
 
 def inner_L2sigma(

@@ -71,6 +71,15 @@ NULL_TOL = 1e-12
 Scalar = Union[int, float, complex]
 
 
+def _require_finite(value, message: str):
+    """Return ``value`` (a number, an array or a Bicomplex) if every component
+    is finite; otherwise raise NonFiniteError with ``message``."""
+    parts = (value.alpha, value.beta) if isinstance(value, Bicomplex) else (value,)
+    if not all(np.all(np.isfinite(v)) for v in parts):
+        raise NonFiniteError(message)
+    return value
+
+
 def _min_abs(v) -> float:
     return np.min(np.abs(v)) if isinstance(v, np.ndarray) else abs(v)
 
@@ -125,8 +134,7 @@ class Bicomplex:
         rows = np.asarray(data, dtype=float)
         if rows.ndim not in (1, 2) or rows.shape[-1] != 4:
             raise ValueError(f"expected [x1, y1, x2, y2] or a list of them, got shape {rows.shape}")
-        if not np.all(np.isfinite(rows)):
-            raise NonFiniteError("JSON value has a non-finite component")
+        _require_finite(rows, "JSON value has a non-finite component")
         x1, y1, x2, y2 = rows.tolist() if rows.ndim == 1 else rows.T
         return cls(x1 + 1j * y1, x2 + 1j * y2)
 
@@ -149,9 +157,7 @@ class Bicomplex:
         """Components as a float array of shape (..., 4); non-finite ones are refused."""
         z1, z2 = self.z1, self.z2
         rows = np.stack([z1.real, z1.imag, z2.real, z2.imag], axis=-1)
-        if not np.all(np.isfinite(rows)):
-            raise NonFiniteError("cannot JSON-encode a non-finite component")
-        return rows
+        return _require_finite(rows, "cannot JSON-encode a non-finite component")
 
     def to_json(self) -> list[float]:
         """Encode as [x1, y1, x2, y2]."""

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the weight-parameter guard."""
+
+import math
 
 
 class BCTransformsError(Exception):
@@ -32,3 +34,9 @@ class ConvergenceError(BCTransformsError, RuntimeError):
 
 class DimensionMismatch(BCTransformsError, ValueError):
     """Operands carry incompatible weight parameters or coefficient layouts."""
+
+
+def _require_positive(name: str, value) -> None:
+    """Raise ValueError unless 0 < ``value`` < inf; NaN fails too."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")

@@ -23,7 +23,6 @@ theta**n H_n(x) H_n(y) / ||H_n||**2 term by term.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -33,6 +32,7 @@ import numpy as np
 from .bicomplex import (
     Bicomplex,
     ONE,
+    _require_finite,
     as_bicomplex,
     conj_star,
     exp as bc_exp,
@@ -40,7 +40,7 @@ from .bicomplex import (
     sqrt_principal,
 )
 from .bargmann import HermiteCoeffVector
-from .errors import DomainError, ExcludedParameterError, NonFiniteError
+from .errors import DomainError, ExcludedParameterError, _require_positive
 from .hermite import _ladder, hermite_norm_sq
 from .quadrature import DEFAULT_ORDER, gauss_hermite, integrate_real, normalization_c
 
@@ -120,8 +120,7 @@ def _rotation(
     sigma is checked first, then ``guard`` validates and returns theta, then
     1 - theta**2 must stay off the null cone.
     """
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    _require_positive("sigma", sigma)
     th = guard(theta)
     pd = ONE - th * th
     if pd.is_null(EXCLUSION_TOL):
@@ -138,7 +137,8 @@ def _exponent(S: Bicomplex, theta: Bicomplex, x, Y) -> Bicomplex:
 def frft_kernel(sigma: float, theta: ThetaParam, x, y) -> Bicomplex:
     """Gaussian rotation kernel at real points ``x``, ``y``."""
     th, pref, S = _rotation(sigma, theta.theta)
-    return (normalization_c(0, sigma) * pref) * bc_exp(_exponent(S, th, x, y))
+    K = (normalization_c(0, sigma) * pref) * bc_exp(_exponent(S, th, x, y))
+    return _require_finite(K, "frft_kernel is outside float range")
 
 
 def frft_coefficients(psi: HermiteCoeffVector, theta: ThetaParam) -> HermiteCoeffVector:
@@ -213,7 +213,8 @@ def mehler_closed(sigma: float, theta, x, y) -> Bicomplex:
     The exponent is the rotation exponent -S (x - theta y)**2 plus sigma x**2.
     """
     th, pref, S = _rotation(sigma, theta, _mehler_guard)
-    return pref * bc_exp(_exponent(S, th, x, y) + sigma * x * x)
+    K = pref * bc_exp(_exponent(S, th, x, y) + sigma * x * x)
+    return _require_finite(K, "mehler_closed is outside float range")
 
 
 def mehler_series(sigma: float, theta, x, y, n_terms: int = 60) -> Bicomplex:
@@ -236,7 +237,8 @@ def mehler_bilinear_bc(sigma: float, theta, Z: Bicomplex, y) -> Bicomplex:
     rotation exponent -S (y - theta Z)**2 plus sigma y**2.
     """
     th, pref, S = _rotation(sigma, theta, _mehler_guard)
-    return pref * bc_exp(_exponent(S, th, y, as_bicomplex(Z)) + sigma * y * y)
+    K = pref * bc_exp(_exponent(S, th, y, as_bicomplex(Z)) + sigma * y * y)
+    return _require_finite(K, "mehler_bilinear_bc is outside float range")
 
 
 def mehler_bilinear_series(sigma: float, theta, Z: Bicomplex, y, n_terms: int = 60) -> Bicomplex:
@@ -275,14 +277,11 @@ def gaussian_integral_closed(gamma: float, a: complex, b: complex, c: complex, d
     square root is the principal branch.  A value outside float range (an
     overflowing exponent, or NaN/inf in the arguments) raises NonFiniteError.
     """
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+    _require_positive("gamma", gamma)
     a, b, c, d = complex(a), complex(b), complex(c), complex(d)
     if not abs((a + b).real) < gamma:
         raise DomainError("requires |Re(a+b)| < gamma")
     disc = gamma * gamma - 4.0 * a * b
     with np.errstate(over="ignore", invalid="ignore"):
         value = complex(math.pi / np.sqrt(disc) * np.exp((a * d * d + b * c * c + gamma * c * d) / disc))
-    if not cmath.isfinite(value):
-        raise NonFiniteError("closed Gaussian integral is outside float range")
-    return value
+    return _require_finite(value, "closed Gaussian integral is outside float range")

@@ -22,7 +22,8 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from .bicomplex import Bicomplex, ONE, as_bicomplex, conj_star, exp as bc_exp
+from .bicomplex import Bicomplex, ONE, _require_finite, as_bicomplex, conj_star, exp as bc_exp
+from .errors import _require_positive
 
 __all__ = [
     "hermite_sigma",
@@ -42,8 +43,7 @@ _LOG_NORM_DEGREE = 150
 def _validate(n: int, sigma: float) -> None:
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    _require_positive("sigma", sigma)
 
 
 def _ladder(n: int, sigma: float, x):
@@ -97,11 +97,11 @@ def generating_G(sigma: float, nu: float, x, Z: Bicomplex) -> Bicomplex:
 
     ``x`` may be a scalar or ndarray; ``Z`` a Bicomplex value.
     """
-    if not (sigma > 0 and nu > 0):
-        raise ValueError("sigma and nu must be positive")
+    _require_positive("sigma", sigma)
+    _require_positive("nu", nu)
     Zs = conj_star(as_bicomplex(Z))
     exponent = (-0.25 * nu) * (Zs * Zs) + (math.sqrt(sigma * nu) * x) * Zs
-    return bc_exp(exponent)
+    return _require_finite(bc_exp(exponent), "generating_G is outside float range")
 
 
 def generating_series(sigma: float, nu: float, x, Z: Bicomplex, n_terms: int = 60) -> Bicomplex:

@@ -29,8 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from .bicomplex import Bicomplex, as_bicomplex
-from .errors import ConvergenceError, NonFiniteError
+from .bicomplex import Bicomplex, _require_finite, as_bicomplex
+from .errors import ConvergenceError, _require_positive
 
 __all__ = [
     "QuadratureRule",
@@ -99,8 +99,7 @@ def _standard_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def gauss_hermite(order: int, gamma: float = 1.0) -> QuadratureRule:
     """Build an ``order``-point rule for the weight exp(-gamma t**2), gamma > 0."""
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+    _require_positive("gamma", gamma)
     nodes, weights = _standard_rule(order)
     scale = math.sqrt(gamma)
     out_nodes = nodes / scale
@@ -110,25 +109,20 @@ def gauss_hermite(order: int, gamma: float = 1.0) -> QuadratureRule:
     return QuadratureRule(gamma=float(gamma), nodes=out_nodes, weights=out_weights)
 
 
-def _check_finite(values: Bicomplex) -> None:
-    if not (np.all(np.isfinite(values.alpha)) and np.all(np.isfinite(values.beta))):
-        raise NonFiniteError("integrand produced a non-finite value at a quadrature node")
+_NONFINITE_INTEGRAND = "integrand produced a non-finite value at a quadrature node"
 
 
 def _weighted_sum(f: Callable, points: np.ndarray | Bicomplex, weights: np.ndarray, vectorized: bool) -> Bicomplex:
     """Sum ``weights * f(points)``: one call on the whole array, or one call per point."""
     if vectorized:
-        values = as_bicomplex(f(points))
-        _check_finite(values)
+        values = _require_finite(as_bicomplex(f(points)), _NONFINITE_INTEGRAND)
         return Bicomplex.from_channels(complex(np.sum(weights * values.alpha)), complex(np.sum(weights * values.beta)))
     acc_a = acc_b = 0j
     for t, w in zip(points.tolist(), weights.tolist()):
         v = as_bicomplex(f(t))
         acc_a += w * v.alpha
         acc_b += w * v.beta
-    out = Bicomplex.from_channels(acc_a, acc_b)
-    _check_finite(out)
-    return out
+    return _require_finite(Bicomplex.from_channels(acc_a, acc_b), _NONFINITE_INTEGRAND)
 
 
 def integrate_real(
@@ -201,8 +195,7 @@ def normalization_c(d, alpha: float) -> float:
     constant alpha/pi, and d = 2 (or "BC") the four-real-dimensional constant
     (alpha/pi)**2 that normalizes the bicomplex Gaussian to unit mass.
     """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    _require_positive("alpha", alpha)
     ratio = alpha / math.pi
     if d == 0:
         return math.sqrt(ratio)

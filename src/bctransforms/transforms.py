@@ -27,8 +27,9 @@ from typing import Callable
 
 import numpy as np
 
-from .bicomplex import Bicomplex, as_bicomplex, conj_star, exp as bc_exp
+from .bicomplex import Bicomplex, _require_finite, as_bicomplex, conj_star, exp as bc_exp
 from .bargmann import HermiteCoeffVector, MonomialCoeffVector, _monomial_scale
+from .errors import _require_positive
 from .quadrature import (
     DEFAULT_ORDER,
     gauss_hermite,
@@ -57,10 +58,11 @@ INVERSE_ORDER = 80
 
 def sbt_kernel_C(sigma: float, gamma: float, x: float, z: complex) -> complex:
     """Classical Gaussian kernel c_0 exp(-sigma (x - sqrt(gamma/(2 sigma)) z)**2)."""
-    if not (sigma > 0 and gamma > 0):
-        raise ValueError("sigma and gamma must be positive")
+    _require_positive("sigma", sigma)
+    _require_positive("gamma", gamma)
     shift = math.sqrt(gamma / (2.0 * sigma))
-    return normalization_c(0, sigma) * np.exp(-sigma * (x - shift * z) ** 2)
+    K = normalization_c(0, sigma) * np.exp(-sigma * (x - shift * z) ** 2)
+    return _require_finite(K, "sbt_kernel_C is outside float range")
 
 
 def sbt_kernel_BC(sigma: float, nu: float, x: float, Z: Bicomplex) -> Bicomplex:
@@ -68,11 +70,12 @@ def sbt_kernel_BC(sigma: float, nu: float, x: float, Z: Bicomplex) -> Bicomplex:
 
     Channelwise it is sbt_kernel_C with gamma = nu/2 at the channel values.
     """
-    if not (sigma > 0 and nu > 0):
-        raise ValueError("sigma and nu must be positive")
+    _require_positive("sigma", sigma)
+    _require_positive("nu", nu)
     shift = math.sqrt(nu / (4.0 * sigma))
     D = x - shift * as_bicomplex(Z)
-    return normalization_c(0, sigma) * bc_exp(-sigma * (D * D))
+    K = normalization_c(0, sigma) * bc_exp(-sigma * (D * D))
+    return _require_finite(K, "sbt_kernel_BC is outside float range")
 
 
 def sbt_forward(phi: HermiteCoeffVector, nu: float) -> MonomialCoeffVector:
@@ -134,8 +137,8 @@ def sbt_inverse_integral(
     same rule on every real coordinate; it costs order**4 evaluations and
     exists to cross-check the split path.
     """
-    if not (sigma > 0 and nu > 0):
-        raise ValueError("sigma and nu must be positive")
+    _require_positive("sigma", sigma)
+    _require_positive("nu", nu)
     rule = gauss_hermite(order, nu / 2.0)
     root = math.sqrt(sigma * nu)
 

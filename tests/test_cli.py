@@ -70,6 +70,14 @@ class TestVerify:
         assert code == 2
         assert "error" in err
 
+    def test_readme_frft_example_passes(self, capsys):
+        # the beta phase 2.2 sits 0.94 rad from pi; a fixed companion
+        # rotation once pushed the semigroup product to within 0.34 rad of it
+        code = main(["verify", "--suite", "frft", "--order", "96", "--theta-phases", "0.9,2.2"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "PASS  frft/semigroup" in out
+
     def test_unknown_suite_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nope"])
