@@ -18,10 +18,13 @@ and x1 .. y2 are derived on demand and read only at the boundary:
 construction from components, ``repr`` and JSON.  Each conversion rounds
 once per real field, at most 1 ulp at the scale of its mixing partner.
 
-Channels may be plain scalars or equally shaped numpy arrays.  Every
-operation broadcasts elementwise, which the quadrature code relies on to
-evaluate integrands on whole node grids at once.  An array-valued value
-indexes and iterates along its first axis.  Instances are immutable.
+Channels may be plain scalars or broadcast-compatible numpy arrays; they
+need not share a shape.  Every channelwise operation keeps each channel's
+own shape; one that mixes the channels (``norm``, the components, a
+product after a channel swap) broadcasts them against each other.
+The ring quadrature relies on this: it hands an integrand alpha as a column
+and beta as a row, so channelwise work runs once per node.  An array-valued
+value indexes and iterates along its first axis.  Instances are immutable.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ class Bicomplex:
 
     Parameters
     ----------
-    z1, z2 : complex scalars or equally shaped complex ndarrays
+    z1, z2 : complex scalars or broadcast-compatible complex ndarrays
         The two complex components in the canonical (1, j) basis.
     """
 

@@ -104,7 +104,10 @@ class ThetaParam:
 
     @classmethod
     def from_phases(cls, phi1: float, phi2: float) -> "ThetaParam":
-        """Unit-torus parameter exp(i phi1) e+ + exp(i phi2) e-."""
+        """Unit-torus parameter exp(i phi1) e+ + exp(i phi2) e-; a non-finite
+        phase raises ExcludedParameterError."""
+        if not (np.isfinite(phi1) and np.isfinite(phi2)):
+            raise ExcludedParameterError(f"theta phases must be finite, got ({phi1!r}, {phi2!r})")
         return cls(Bicomplex.from_channels(np.exp(1j * phi1), np.exp(1j * phi2)))
 
     @classmethod

@@ -23,7 +23,7 @@ import math
 from collections import deque
 
 from .bicomplex import Bicomplex, ONE, _require_finite, as_bicomplex, conj_star, exp as bc_exp
-from .errors import _require_positive
+from .errors import NonFiniteError, _require_positive
 
 __all__ = [
     "hermite_sigma",
@@ -72,11 +72,19 @@ def hermite_sigma_bc(n: int, sigma: float, Z: Bicomplex) -> Bicomplex:
 
 
 def hermite_norm_sq(n: int, sigma: float) -> float:
-    """Squared weighted norm 2**n sigma**n n! of H_n."""
+    """Squared weighted norm 2**n sigma**n n! of H_n; a value outside float
+    range raises NonFiniteError."""
     _validate(n, sigma)
-    if n > _LOG_NORM_DEGREE:
-        return math.exp(n * math.log(2.0 * sigma) + math.lgamma(n + 1))
-    return (2.0 * sigma) ** n * math.factorial(n)
+    try:
+        if n > _LOG_NORM_DEGREE:
+            value = math.exp(n * math.log(2.0 * sigma) + math.lgamma(n + 1))
+        else:
+            value = (2.0 * sigma) ** n * math.factorial(n)
+    except OverflowError:
+        value = math.inf
+    if not 0 < value < math.inf:  # the norm is positive, so 0.0 is an underflow
+        raise NonFiniteError(f"Hermite norm at degree {n}, sigma={sigma} is outside float range")
+    return value
 
 
 def psi_n(n: int, sigma: float, x):

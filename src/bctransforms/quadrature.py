@@ -166,9 +166,13 @@ def integrate_bicomplex(
     must therefore carry gamma = nu / 2 for each complex coordinate.  With
     ``vectorized=True`` the (alpha, beta) tensor grid is evaluated in blocks of
     whole alpha rows, at most ``_BLOCK_POINTS`` points each (one row when a
-    row alone is larger), so ``f`` must accept a Bicomplex whose channels are
-    1-D arrays; every block is checked for non-finite values.  Otherwise ``f``
-    is called once per grid point.
+    row alone is larger).  Each block reaches ``f`` as an outer product: alpha
+    is a ``(rows, 1)`` column and beta the ``(1, n**2)`` row of all planar
+    nodes, so a channelwise integrand does its work once per node and a
+    mixing one broadcasts to the full ``(rows, n**2)`` block.  ``f`` must
+    therefore broadcast, and must not index, iterate or take ``len()`` of
+    the block; every block is checked for non-finite values.  Otherwise
+    ``f`` is called once per grid point.
     """
     if abs(rule.gamma - nu / 2.0) > 1e-12 * max(1.0, abs(nu)):
         raise ValueError(f"rule gamma {rule.gamma} does not match nu/2 = {nu / 2.0}")
@@ -183,8 +187,8 @@ def integrate_bicomplex(
     total = Bicomplex.from_channels(0j, 0j)
     for start in range(0, len(xi), rows):
         block = slice(start, start + rows)
-        Z = Bicomplex.from_channels(np.repeat(xi[block], len(xi)), np.tile(xi, len(xi[block])))
-        total = total + _weighted_sum(f, Z, np.outer(w2[block], w2).ravel(), True)
+        Z = Bicomplex.from_channels(xi[block, None], xi[None, :])
+        total = total + _weighted_sum(f, Z, np.outer(w2[block], w2), True)
     return 0.25 * total
 
 

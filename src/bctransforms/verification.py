@@ -89,14 +89,24 @@ class CaseResult:
     tol: float
     passed: bool
     ms: float
+    raised: bool = False
+
+    @property
+    def status(self) -> str:
+        """The outcome: "raised" if the case's code raised, else "pass" or "fail"."""
+        if self.raised:
+            return "raised"
+        return "pass" if self.passed else "fail"
 
     def to_dict(self) -> dict:
+        """JSON-ready fields; a non-finite error (a raise or a NaN) is None."""
         return {
             "id": self.id,
             "desc": self.desc,
-            "error": self.error,
+            "error": self.error if math.isfinite(self.error) else None,
             "tol": self.tol,
             "pass": self.passed,
+            "status": self.status,
             "ms": self.ms,
         }
 
@@ -119,7 +129,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -869,13 +879,13 @@ SUITE_NAMES = tuple(dict.fromkeys(c.id.split("/")[0] for c in _CASES)) + ("all",
 
 def _run_case(case: _Case, params: _Params) -> CaseResult:
     start = time.perf_counter()
-    desc = case.desc
+    desc, raised = case.desc, False
     try:
         error = float(_worst(0.0, *case.errors(params)))
     except Exception as err:
-        desc, error = f"{case.desc} [raised {type(err).__name__}: {err}]", math.inf
+        desc, error, raised = f"{case.desc} [raised {type(err).__name__}: {err}]", math.inf, True
     ms = (time.perf_counter() - start) * 1000.0
-    return CaseResult(case.id, desc, error, case.tol, bool(error <= case.tol), round(ms, 3))
+    return CaseResult(case.id, desc, error, case.tol, bool(error <= case.tol), round(ms, 3), raised)
 
 
 def run_suite(

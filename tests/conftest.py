@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -18,3 +20,12 @@ def rand_bc(rng, scale=1.0):
 def assert_bc_close(a, b, tol=1e-12):
     err = bc_norm(a - b)
     assert err <= tol, f"bicomplex mismatch: {a} vs {b} (error {err:.3e} > {tol:.1e})"
+
+
+def strict_json(text):
+    """Parse ``text``, refusing the non-standard tokens NaN and (-)Infinity."""
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from numpy.testing import assert_allclose
 
 from bctransforms import Bicomplex, ThetaParam, kernel_K_C, mehler_closed
 from bctransforms.cli import main
+
+from conftest import strict_json
 
 
 def write_vector(tmp_path, name, payload):
@@ -45,8 +48,8 @@ class TestVerify:
         assert data["suite"] == "algebra"
         assert data["params"]["sigma"] == 1.0
         for case in data["cases"]:
-            assert set(case) == {"id", "desc", "error", "tol", "pass", "ms"}
-            assert case["pass"] is True
+            assert set(case) == {"id", "desc", "error", "tol", "pass", "status", "ms"}
+            assert case["pass"] is True and case["status"] == "pass"
         csv_text = (tmp_path / "report.csv").read_text()
         assert csv_text.splitlines()[0] == "id,desc,error,tol,pass,ms"
         assert len(csv_text.splitlines()) == len(data["cases"]) + 1
@@ -84,15 +87,20 @@ class TestVerify:
         assert exc.value.code == 2
         capsys.readouterr()
 
-    def test_nan_error_fails_case(self, capsys, monkeypatch):
+    def test_nan_error_fails_case(self, capsys, monkeypatch, tmp_path):
         # the builtin max(0.0, nan) is 0.0; the suite must not drop a NaN error
         import bctransforms.verification as verification
 
         monkeypatch.setattr(verification, "mehler_series", lambda *a, **k: Bicomplex(complex(math.nan, 0.0), 0j))
-        code = main(["verify", "--suite", "mehler"])
+        report = tmp_path / "report.json"
+        code = main(["verify", "--suite", "mehler", "--out", str(report)])
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL  mehler/closed-vs-series" in out and "error=nan" in out
+        # the report file is strict JSON: the NaN error is written as null
+        cases = {c["id"]: c for c in strict_json(report.read_text())["cases"]}
+        case = cases["mehler/closed-vs-series"]
+        assert case["error"] is None and case["status"] == "fail" and case["pass"] is False
 
     def test_underresolved_order_fails_cases(self, capsys):
         # 4 nodes cannot integrate the degree-24 orthonormality products
@@ -383,12 +391,16 @@ NON_FINITE_THETA = [
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("kind, call", NON_FINITE_THETA)
 def test_non_finite_theta_fails_closed(kind, call, bad, capsys, tmp_path):
-    if kind == "cli":
-        assert call(bad, tmp_path) == 2
-        assert "error" in capsys.readouterr().err
-    else:
-        with pytest.raises(ValueError):
-            call(bad, tmp_path)
+    # the parameter is refused before any arithmetic on it, so numpy never warns
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if kind == "cli":
+            assert call(bad, tmp_path) == 2
+            assert "error" in capsys.readouterr().err
+        else:
+            with pytest.raises(ValueError):
+                call(bad, tmp_path)
+    assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_module_entry_point():

@@ -19,6 +19,7 @@ from bctransforms import (
     psi_n,
     psi_values,
 )
+from bctransforms.errors import NonFiniteError
 
 from conftest import assert_bc_close
 
@@ -88,6 +89,20 @@ class TestNorms:
         sigma = 0.5
         for n in (149, 150, 151, 160, 170):
             assert_allclose(hermite_norm_sq(n, sigma), float(math.factorial(n)), rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: hermite_norm_sq(3, 1e-300),  # underflows to 0.0
+            lambda: psi_n(3, 1e-300, 0.5),  # once a bare ZeroDivisionError
+            lambda: hermite_norm_sq(200, 1.0),  # once a bare OverflowError
+            lambda: psi_values(160, 1.0, 0.5),
+        ],
+        ids=["norm-underflow", "psi_n-underflow", "norm-overflow", "psi_values-overflow"],
+    )
+    def test_outside_float_range_raises(self, call):
+        with pytest.raises(NonFiniteError):
+            call()
 
     def test_psi_orthonormal_under_quadrature(self):
         sigma = 2.0

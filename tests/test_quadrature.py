@@ -6,12 +6,17 @@ from numpy.testing import assert_allclose
 
 from bctransforms import (
     Bicomplex,
+    as_bicomplex,
+    conj_dagger,
     gauss_hermite,
     integrate_bicomplex,
     integrate_complex,
     integrate_real,
+    kernel_K_BC,
     normalization_c,
 )
+from bctransforms import bargmann, quadrature
+from bctransforms import bicomplex as bc
 from bctransforms.errors import NonFiniteError
 from bctransforms.quadrature import DEFAULT_BC_ORDER, DEFAULT_ORDER, QuadratureRule
 
@@ -165,7 +170,8 @@ class TestBicomplexIntegrals:
 class TestBlockedRingGrid:
     """The vectorized ring path evaluates blocks of whole alpha rows: one
     block at order 7, 41 full blocks of 14 rows and a last one of 2 rows at
-    order 24, and one row per call at order 91 (91**2 points > 8192)."""
+    order 24, and one row per call at order 91 (91**2 points > 8192).  Each
+    block is an outer product: alpha a (rows, 1) column, beta a (1, n**2) row."""
 
     @pytest.mark.parametrize("order", [7, 24])
     def test_matches_pointwise_loop(self, order):
@@ -197,16 +203,60 @@ class TestBlockedRingGrid:
         assert_allclose(scalar(got) * normalization_c("BC", nu), 1.0, rtol=1e-13)
 
     def test_call_structure_at_order_24(self):
-        sizes = []
+        alphas, betas, sizes = [], [], []
 
         def f(Z):
-            assert Z.alpha.ndim == 1 and Z.alpha.shape == Z.beta.shape
-            sizes.append(Z.alpha.size)
+            alphas.append(Z.alpha.shape)
+            betas.append(Z.beta.shape)
+            sizes.append(np.broadcast(Z.alpha, Z.beta).size)
             return Z.alpha * 0 + 1.0
 
         integrate_bicomplex(f, 2.0, gauss_hermite(24, 1.0), vectorized=True)
-        # 42 calls covering all 24**4 = 331 776 grid points
+        # 42 calls whose broadcast blocks cover all 24**4 = 331 776 grid points
+        assert alphas == [(14, 1)] * 41 + [(2, 1)]
+        assert betas == [(1, 24**2)] * 42
         assert sizes == [14 * 24**2] * 41 + [2 * 24**2]
+        assert sum(sizes) == 331_776
+
+    @pytest.mark.parametrize("order", [7, 24])
+    @pytest.mark.parametrize(
+        "f",
+        [
+            lambda W: kernel_K_BC(2.0, _Z0, W) * W**3,  # channelwise
+            lambda W: conj_dagger(W) * W,  # swaps the channels, then mixes them
+            bc.norm,  # mixes the channels
+        ],
+        ids=["kernel-times-power", "dagger-product", "norm"],
+    )
+    def test_bit_identical_to_materialized_grid(self, order, f):
+        # the reference repeats alpha and tiles beta over each block, with the
+        # outer weights raveled; the broadcast block must give the same bits
+        rule = gauss_hermite(order, 1.0)
+        xi = (rule.nodes[:, None] + 1j * rule.nodes[None, :]).ravel()
+        w2 = (rule.weights[:, None] * rule.weights[None, :]).ravel()
+        rows = max(1, quadrature._BLOCK_POINTS // len(xi))
+        total = Bicomplex.from_channels(0j, 0j)
+        for start in range(0, len(xi), rows):
+            block = xi[start : start + rows]
+            values = as_bicomplex(f(Bicomplex.from_channels(np.repeat(block, len(xi)), np.tile(xi, len(block)))))
+            w = np.outer(w2[start : start + rows], w2).ravel()
+            total = total + Bicomplex.from_channels(complex(np.sum(w * values.alpha)), complex(np.sum(w * values.beta)))
+        want = 0.25 * total
+        got = integrate_bicomplex(f, 2.0, rule, vectorized=True)
+        assert complex(got.alpha) == complex(want.alpha)
+        assert complex(got.beta) == complex(want.beta)
+
+    def test_channelwise_exp_runs_once_per_node(self, monkeypatch):
+        seen = []
+
+        def spy(W):
+            seen.append(np.size(W.alpha) + np.size(W.beta))
+            return bc.exp(W)
+
+        monkeypatch.setattr(bargmann, "bc_exp", spy)
+        integrate_bicomplex(lambda W: kernel_K_BC(2.0, _Z0, W) * W**3, 2.0, gauss_hermite(24, 1.0), vectorized=True)
+        # rows alpha values and 576 beta values per call, not rows * 576 each
+        assert seen == [14 + 576] * 41 + [2 + 576]
 
     def test_nan_in_last_block_raises(self):
         rule = gauss_hermite(24, 1.0)
@@ -220,6 +270,9 @@ class TestBlockedRingGrid:
         with pytest.raises(NonFiniteError):
             integrate_bicomplex(f, 2.0, rule, vectorized=True)
         assert len(calls) == 42
+
+
+_Z0 = Bicomplex(0.3 + 0.2j, -0.1 + 0.4j)
 
 
 def _normsq(Z):

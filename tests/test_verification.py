@@ -3,6 +3,8 @@ import pytest
 
 from bctransforms import verification
 
+from conftest import strict_json
+
 
 @pytest.mark.parametrize(
     "draw, param",
@@ -78,6 +80,11 @@ def test_raising_callee_fails_only_its_cases(monkeypatch):
         assert c.error == float("inf")
         assert "[raised RuntimeError: broken projection]" in c.desc
     assert len(report.cases) - len(failed) == 51
+    # the JSON report stays strict: the infinite error is written as null
+    cases = {c["id"]: c for c in strict_json(report.to_json())["cases"]}
+    for c in failed:
+        assert cases[c.id]["error"] is None and cases[c.id]["status"] == "raised"
+    assert sum(c["status"] == "pass" for c in cases.values()) == 51
 
 
 def test_rejects_reads_inf_when_the_call_returns():
