@@ -20,7 +20,6 @@ coefficients; both transforms in this package preserve it channelwise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,8 +34,8 @@ from .bicomplex import (
     exp as bc_exp,
     norm as bc_norm,
 )
-from .errors import DimensionMismatch, NonFiniteError, _require_positive
-from .hermite import psi_values
+from .errors import DimensionMismatch, _require_positive
+from .hermite import _scale, _weight, psi_values
 from .quadrature import (
     DEFAULT_BC_ORDER,
     DEFAULT_ORDER,
@@ -59,19 +58,6 @@ __all__ = [
     "eval_monomial_series",
     "idempotent_split_F",
 ]
-
-_LOG_NORM_DEGREE = 150
-
-
-def _monomial_scale(degree: int, nu: float) -> np.ndarray:
-    """r_n = (nu**n / (2**n n!))**(1/2), n = 0..degree, by r_n = r_{n-1} (nu/(2n))**(1/2).
-
-    r_n is the forward coefficient map; 1 / r_n**2 is the squared monomial norm.
-    """
-    _require_positive("nu", nu)
-    ratios = np.sqrt(nu / (2.0 * np.arange(1, degree + 1)))
-    return np.cumprod(np.concatenate(([1.0], ratios)))
-
 
 class _CoeffVector:
     """Validation, basis and wire code shared by the two coefficient vectors;
@@ -104,7 +90,8 @@ class _CoeffVector:
 
     def _norm_sq(self, scale=1.0) -> float:
         """sum_n (|c_n| / scale_n)**2; an overflow raises instead of returning inf."""
-        out = float(np.sum((bc_norm(self.coeffs) / scale) ** 2))
+        with np.errstate(all="ignore"):
+            out = float(np.sum((bc_norm(self.coeffs) / scale) ** 2))
         return _require_finite(out, "squared norm is outside float range")
 
     def to_json(self) -> dict:
@@ -135,10 +122,12 @@ class HermiteCoeffVector(_CoeffVector):
     _param = "sigma"
 
     def evaluate(self, x):
-        """Value of the expansion at real ``x`` (scalar or ndarray)."""
+        """Value of the expansion at real ``x`` (scalar or ndarray); a value
+        outside float range raises NonFiniteError."""
         vals = np.array(psi_values(self.degree, self.sigma, x))
-        a, b = (np.einsum("n,n...->...", ch, vals) for ch in (self.coeffs.alpha, self.coeffs.beta))
-        return Bicomplex.from_channels(a, b)
+        with np.errstate(all="ignore"):
+            a, b = (np.einsum("n,n...->...", ch, vals) for ch in (self.coeffs.alpha, self.coeffs.beta))
+        return _require_finite(Bicomplex.from_channels(a, b), "Hermite expansion is outside float range")
 
     def norm_sq(self) -> float:
         """Sum of squared Euclidean moduli of the coefficients."""
@@ -158,7 +147,7 @@ class MonomialCoeffVector(_CoeffVector):
 
     def norm_sq(self) -> float:
         """Weighted sum of squared coefficient moduli, weights 2**n n!/nu**n."""
-        return self._norm_sq(_monomial_scale(self.degree, self.nu))
+        return self._norm_sq(_scale(self.degree, 2.0 / self.nu))
 
 
 def kernel_K_C(gamma: float, z: complex, w: complex) -> complex:
@@ -180,24 +169,16 @@ def monomial_norm_sq(n: int, nu: float) -> float:
     if n < 0:
         raise ValueError("degree must be nonnegative")
     _require_positive("nu", nu)
-    try:
-        if n > _LOG_NORM_DEGREE:
-            value = math.exp(n * math.log(2.0 / nu) + math.lgamma(n + 1))
-        else:
-            value = 2.0**n * math.factorial(n) / nu**n
-    except (OverflowError, ZeroDivisionError):
-        value = math.inf
-    if not 0 < value < math.inf:  # the norm is positive, so 0.0 is an underflow
-        raise NonFiniteError(f"monomial norm at degree {n}, nu={nu} is outside float range")
-    return value
+    return _weight(n, 2.0 / nu)
 
 
 def _pairwise_inner(f: Bicomplex, g: Bicomplex) -> Bicomplex:
     """sum_n f_n g_n* over the common length of two coefficient arrays; a sum
     outside float range raises instead of returning inf or NaN."""
     n = min(len(f.alpha), len(g.alpha))
-    p = bc_inner(f[:n], g[:n])
-    out = Bicomplex.from_channels(np.sum(p.alpha), np.sum(p.beta))
+    with np.errstate(all="ignore"):
+        p = bc_inner(f[:n], g[:n])
+        out = Bicomplex.from_channels(np.sum(p.alpha), np.sum(p.beta))
     return _require_finite(out, "coefficient pairing is outside float range")
 
 
@@ -259,8 +240,9 @@ def inner_H2nu(
         if abs(f.nu - g.nu) > 1e-12:
             raise DimensionMismatch(f"nu mismatch: {f.nu} vs {g.nu}")
         n = min(f.degree, g.degree) + 1
-        s = _monomial_scale(n - 1, f.nu)  # pair A_n / r_n, as norm_sq does
-        return _pairwise_inner(f.coeffs[:n] / s, g.coeffs[:n] / s)
+        s = _scale(n - 1, 2.0 / f.nu)  # pair A_n / r_n, as norm_sq does
+        with np.errstate(all="ignore"):
+            return _pairwise_inner(f.coeffs[:n] / s, g.coeffs[:n] / s)
     nv = nu
     if nv is None:
         nv = f.nu if f_vec else (g.nu if g_vec else None)
@@ -303,10 +285,13 @@ def project_P(
 
 
 def eval_monomial_series(f: MonomialCoeffVector, Z: Bicomplex) -> Bicomplex:
-    """Evaluate sum_n A_n Z**n by channelwise Horner recursion."""
+    """Evaluate sum_n A_n Z**n by channelwise Horner recursion; a value
+    outside float range raises NonFiniteError."""
     Z = as_bicomplex(Z)
     c = f.coeffs
-    return Bicomplex.from_channels(np.polyval(c.alpha[::-1], Z.alpha), np.polyval(c.beta[::-1], Z.beta))
+    with np.errstate(all="ignore"):
+        out = Bicomplex.from_channels(np.polyval(c.alpha[::-1], Z.alpha), np.polyval(c.beta[::-1], Z.beta))
+    return _require_finite(out, "monomial series is outside float range")
 
 
 def idempotent_split_F(f: MonomialCoeffVector) -> tuple[list[complex], list[complex]]:

@@ -145,11 +145,12 @@ class Bicomplex:
 
     @property
     def z1(self):
-        return (self.alpha + self.beta) / 2
+        # halve before adding: exact, and finite for channels near the float maximum
+        return self.alpha / 2 + self.beta / 2
 
     @property
     def z2(self):
-        return 0.5j * (self.alpha - self.beta)
+        return 0.5j * self.alpha - 0.5j * self.beta
 
     x1 = property(lambda self: self.z1.real)
     y1 = property(lambda self: self.z1.imag)

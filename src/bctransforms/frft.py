@@ -18,7 +18,7 @@ residual folded in.  Every kernel here is built from that one exponent: the
 continued kernel puts a ring point Z in place of y, and the closed Mehler
 sums add sigma x**2 to it, so the rotation kernel equals c_0 exp(-sigma x**2)
 times the closed Mehler sum by construction.  The series oracles instead sum
-theta**n H_n(x) H_n(y) / ||H_n||**2 term by term.
+theta**n psi_n(x) psi_n(y) term by term.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .bicomplex import (
 )
 from .bargmann import HermiteCoeffVector
 from .errors import DomainError, ExcludedParameterError, _require_positive
-from .hermite import _ladder, hermite_norm_sq
+from .hermite import _ladder
 from .quadrature import DEFAULT_ORDER, gauss_hermite, integrate_real, normalization_c
 
 __all__ = [
@@ -221,15 +221,14 @@ def mehler_closed(sigma: float, theta, x, y) -> Bicomplex:
 
 
 def mehler_series(sigma: float, theta, x, y, n_terms: int = 60) -> Bicomplex:
-    """Partial Mehler sum sum_n theta**n H_n(x) H_n(y) / (2**n sigma**n n!)."""
+    """Partial Mehler sum sum_n theta**n psi_n(x) psi_n(y)."""
     th, _, _ = _rotation(sigma, theta, _mehler_guard)
-    acc = ONE
-    power = ONE
+    acc = power = ONE
     ladders = zip(_ladder(n_terms - 1, sigma, x), _ladder(n_terms - 1, sigma, y))
     next(ladders)  # the n = 0 term is the ONE already in acc
-    for n, (hx, hy) in enumerate(ladders, start=1):
+    for px, py in ladders:
         power = power * th
-        acc = acc + power * (hx * hy / hermite_norm_sq(n, sigma))
+        acc = acc + power * (px * py)
     return acc
 
 
@@ -247,13 +246,12 @@ def mehler_bilinear_bc(sigma: float, theta, Z: Bicomplex, y) -> Bicomplex:
 def mehler_bilinear_series(sigma: float, theta, Z: Bicomplex, y, n_terms: int = 60) -> Bicomplex:
     """Series oracle for :func:`mehler_bilinear_bc`."""
     th, _, _ = _rotation(sigma, theta, _mehler_guard)
-    acc = ONE
-    power = ONE
+    acc = power = ONE
     ladders = zip(_ladder(n_terms - 1, sigma, as_bicomplex(Z)), _ladder(n_terms - 1, sigma, y))
     next(ladders)  # the n = 0 term is the ONE already in acc
-    for n, (hz, hy) in enumerate(ladders, start=1):
+    for pz, py in ladders:
         power = power * th
-        acc = acc + (power * hz) * (hy / hermite_norm_sq(n, sigma))
+        acc = acc + (power * pz) * py
     return acc
 
 

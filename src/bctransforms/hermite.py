@@ -4,14 +4,22 @@ The degree-n polynomial attached to the Gaussian exp(-sigma x**2) is
 
     H_n(x) = (-1)**n exp(sigma x**2) (d/dx)**n exp(-sigma x**2),
 
-computed here by the three-term recurrence
+with squared weighted norm c**n n!, c = 2 sigma.  The orthonormal basis
+psi_n = r_n H_n, r_n = (c**n n!)**(-1/2), comes from the normalized
+three-term recurrence (B. Bunck, BIT 49, 2009)
 
-    H_{n+1}(x) = 2 sigma x H_n(x) - 2 sigma n H_{n-1}(x),   H_0 = 1,
+    psi_{n+1} = (sqrt(2 sigma) x psi_n - sqrt(n) psi_{n-1}) / sqrt(n+1),   psi_0 = 1,
 
-which follows from the Rodrigues form (and is validated against symbolic
-differentiation in the test suite).  The squared weighted norm is
-2**n sigma**n n!, and psi_n = H_n / sqrt(2**n sigma**n n!) is orthonormal
-for the probability-normalized Gaussian pairing on the line.
+which never forms H_n or n!, and H_n = psi_n / r_n (both are checked against
+symbolic differentiation in the test suite).  Every weight comes from one
+ratio ladder r_n = r_{n-1} / sqrt(c n): at c = 2/nu it is the coefficient
+map psi_n -> r_n Z**n of the coherent-state transform, and 1/r_n**2 the
+squared norm of the monomial Z**n.
+
+Limits: Cramer's bound |psi_n(x)| < exp(sigma x**2 / 2) keeps psi_n finite
+at every degree for |x| below about 37 / sqrt(sigma).  At sigma = 1 the norm
+leaves float range from n = 151, and H_n from n = 268, where r_n leaves the
+normal float range; past a limit the functions raise NonFiniteError.
 
 ``generating_G`` is the closed form of the bilinear generating series that
 pairs this basis with the monomial basis of the holomorphic side.
@@ -20,7 +28,8 @@ pairs this basis with the monomial basis of the holomorphic side.
 from __future__ import annotations
 
 import math
-from collections import deque
+
+import numpy as np
 
 from .bicomplex import Bicomplex, ONE, _require_finite, as_bicomplex, conj_star, exp as bc_exp
 from .errors import NonFiniteError, _require_positive
@@ -35,10 +44,6 @@ __all__ = [
     "generating_series",
 ]
 
-#: beyond this degree the norm is assembled in log space to dodge the
-#: exact-integer factorial blowing past float range during conversion
-_LOG_NORM_DEGREE = 150
-
 
 def _validate(n: int, sigma: float) -> None:
     if n < 0:
@@ -46,58 +51,69 @@ def _validate(n: int, sigma: float) -> None:
     _require_positive("sigma", sigma)
 
 
-def _ladder(n: int, sigma: float, x):
-    """Yield H_0(x) .. H_n(x) by the three-term recurrence.
+def _scale(degree: int, c: float) -> np.ndarray:
+    """r_n = (c**n n!)**(-1/2), n = 0..degree, by r_n = r_{n-1} / sqrt(c n); outside the
+    normal float range it raises NonFiniteError (r_n rises, then falls: the last decides)."""
+    with np.errstate(all="ignore"):
+        r = np.cumprod(np.concatenate(([1.0], 1.0 / np.sqrt(c * np.arange(1, degree + 1)))))
+    if not np.finfo(float).tiny <= r[-1] < math.inf:
+        raise NonFiniteError(f"(c**n n!)**(-1/2) at degree {degree}, c={c} is outside float range")
+    return r
 
-    ``x`` may be a real scalar, an ndarray or a Bicomplex value.
-    """
-    h_prev, h = 0.0, ONE if isinstance(x, Bicomplex) else 1.0 + 0.0 * x
-    yield h
-    two_sigma_x = 2.0 * sigma * x
+
+def _weight(n: int, c: float) -> float:
+    """c**n n! = 1 / r_n**2; outside the normal float range it raises NonFiniteError."""
+    with np.errstate(all="ignore"):
+        value = float(1.0 / _scale(n, c)[-1] ** 2)
+    if not np.finfo(float).tiny <= value < math.inf:
+        raise NonFiniteError(f"c**n n! at degree {n}, c={c} is outside float range")
+    return value
+
+
+def _ladder(n: int, sigma: float, x):
+    """Yield psi_0(x) .. psi_n(x) by the normalized three-term recurrence;
+    ``x`` may be a real scalar, an ndarray or a Bicomplex value."""
+    p_prev, p = 0.0, ONE if isinstance(x, Bicomplex) else 1.0 + 0.0 * x
+    yield p
+    root_c_x = math.sqrt(2.0 * sigma) * x
     for k in range(n):
-        h_prev, h = h, two_sigma_x * h - (2.0 * sigma * k) * h_prev
-        yield h
+        p_prev, p = p, (root_c_x * p - math.sqrt(k) * p_prev) / math.sqrt(k + 1)
+        yield p
 
 
 def hermite_sigma(n: int, sigma: float, x):
-    """Evaluate H_n at real ``x`` (scalar or ndarray) by upward recurrence."""
-    _validate(n, sigma)
-    return deque(_ladder(n, sigma, x), maxlen=1)[0]
+    """Evaluate H_n = psi_n / r_n at ``x`` (scalar or ndarray); a value
+    outside float range raises NonFiniteError."""
+    with np.errstate(all="ignore"):
+        h = psi_n(n, sigma, x) / float(_scale(n, 2.0 * sigma)[-1])
+    return _require_finite(h, f"H_{n} at sigma={sigma} is outside float range")
 
 
 def hermite_sigma_bc(n: int, sigma: float, Z: Bicomplex) -> Bicomplex:
     """Evaluate H_n at a bicomplex argument via the same recurrence."""
-    _validate(n, sigma)
-    return deque(_ladder(n, sigma, as_bicomplex(Z)), maxlen=1)[0]
+    return hermite_sigma(n, sigma, as_bicomplex(Z))
 
 
 def hermite_norm_sq(n: int, sigma: float) -> float:
-    """Squared weighted norm 2**n sigma**n n! of H_n; a value outside float
-    range raises NonFiniteError."""
+    """Squared weighted norm (2 sigma)**n n! of H_n; outside float range it raises NonFiniteError."""
     _validate(n, sigma)
-    try:
-        if n > _LOG_NORM_DEGREE:
-            value = math.exp(n * math.log(2.0 * sigma) + math.lgamma(n + 1))
-        else:
-            value = (2.0 * sigma) ** n * math.factorial(n)
-    except OverflowError:
-        value = math.inf
-    if not 0 < value < math.inf:  # the norm is positive, so 0.0 is an underflow
-        raise NonFiniteError(f"Hermite norm at degree {n}, sigma={sigma} is outside float range")
-    return value
+    return _weight(n, 2.0 * sigma)
 
 
 def psi_n(n: int, sigma: float, x):
-    """Orthonormal basis element psi_n = H_n / sqrt(2**n sigma**n n!)."""
-    return hermite_sigma(n, sigma, x) / math.sqrt(hermite_norm_sq(n, sigma))
+    """Orthonormal basis element psi_n = H_n / sqrt((2 sigma)**n n!)."""
+    return psi_values(n, sigma, x)[-1]
 
 
 def psi_values(n_max: int, sigma: float, x) -> list:
-    """All of psi_0 .. psi_{n_max} at ``x`` in one recurrence pass."""
+    """All of psi_0 .. psi_{n_max} at ``x`` in one recurrence pass; a value
+    outside float range raises NonFiniteError."""
     _validate(n_max, sigma)
-    return [
-        h / math.sqrt(hermite_norm_sq(k, sigma)) for k, h in enumerate(_ladder(n_max, sigma, x))
-    ]
+    with np.errstate(all="ignore"):
+        values = list(_ladder(n_max, sigma, x))
+    # a non-finite rung makes every later rung non-finite, so the last decides
+    _require_finite(values[-1], f"psi_{n_max} at sigma={sigma} is outside float range")
+    return values
 
 
 def generating_G(sigma: float, nu: float, x, Z: Bicomplex) -> Bicomplex:
@@ -115,19 +131,17 @@ def generating_G(sigma: float, nu: float, x, Z: Bicomplex) -> Bicomplex:
 def generating_series(sigma: float, nu: float, x, Z: Bicomplex, n_terms: int = 60) -> Bicomplex:
     """Partial sum of the generating series; the oracle for :func:`generating_G`.
 
-    Terms are H_n(x) (Z*)**n divided by the norm product
-    sqrt(2**n sigma**n n!) * sqrt(2**n n! / nu**n).
+    Terms are psi_n(x) (Z*)**n r_n with r_n = (nu**n / (2**n n!))**(1/2).
     """
     if n_terms < 1:
         raise ValueError("need at least one term")
+    _validate(n_terms - 1, sigma)
+    _require_positive("nu", nu)
     Zs = conj_star(as_bicomplex(Z))
-    ladder = _ladder(n_terms - 1, sigma, x)
-    acc = as_bicomplex(next(ladder))
+    terms = zip(_ladder(n_terms - 1, sigma, x), _scale(n_terms - 1, 2.0 / nu).tolist())
+    acc = as_bicomplex(next(terms)[0])  # r_0 = 1
     power = ONE
-    for n, h in enumerate(ladder, start=1):
+    for p, r in terms:
         power = power * Zs
-        denom = math.sqrt(hermite_norm_sq(n, sigma)) * math.sqrt(
-            2.0**n * math.factorial(n) / nu**n
-        )
-        acc = acc + (power * h) * (1.0 / denom)
+        acc = acc + (power * p) * r
     return acc

@@ -28,8 +28,9 @@ from typing import Callable
 import numpy as np
 
 from .bicomplex import Bicomplex, _require_finite, as_bicomplex, conj_star, exp as bc_exp
-from .bargmann import HermiteCoeffVector, MonomialCoeffVector, _monomial_scale
+from .bargmann import HermiteCoeffVector, MonomialCoeffVector
 from .errors import _require_positive
+from .hermite import _scale
 from .quadrature import (
     DEFAULT_ORDER,
     gauss_hermite,
@@ -80,12 +81,13 @@ def sbt_kernel_BC(sigma: float, nu: float, x: float, Z: Bicomplex) -> Bicomplex:
 
 def sbt_forward(phi: HermiteCoeffVector, nu: float) -> MonomialCoeffVector:
     """Diagonal coefficient map c_n -> c_n (nu**n / 2**n n!)**(1/2)."""
-    return MonomialCoeffVector(nu, phi.coeffs * _monomial_scale(phi.degree, nu))
+    _require_positive("nu", nu)
+    return MonomialCoeffVector(nu, phi.coeffs * _scale(phi.degree, 2.0 / nu))
 
 
 def sbt_inverse_coeff(f: MonomialCoeffVector, sigma: float) -> HermiteCoeffVector:
     """Inverse diagonal map A_n -> A_n (2**n n! / nu**n)**(1/2)."""
-    return HermiteCoeffVector(sigma, f.coeffs / _monomial_scale(f.degree, f.nu))
+    return HermiteCoeffVector(sigma, f.coeffs / _scale(f.degree, 2.0 / f.nu))
 
 
 def sbt_forward_integral(

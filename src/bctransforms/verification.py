@@ -229,7 +229,7 @@ def _rejects(error_type: type[Exception], call: Callable[[], object]) -> float:
 
 def _basis_scale(n: int, nu: float) -> float:
     """(nu**n / (2**n n!))**(1/2) from the exact factorial; an oracle kept
-    apart from the ratio form ``bargmann._monomial_scale`` that it checks."""
+    apart from the ratio form ``hermite._scale`` that it checks."""
     return math.sqrt(nu**n / (2.0**n * math.factorial(n)))
 
 

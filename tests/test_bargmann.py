@@ -114,10 +114,21 @@ class TestCoeffVectors:
             HermiteCoeffVector.from_json({"sigma": 1.0, "coeffs": [[1.0, 0.0, 0.0, 0.0], [0.0, math.nan, 0.0, 0.0]]})
         with pytest.raises(NonFiniteError):
             MonomialCoeffVector.from_json({"nu": 2.0, "coeffs": [[math.inf, 0.0, 0.0, 0.0]]})
-        # finite channels whose components overflow cannot be encoded
+        # channels near the float maximum have finite components, which encode
         huge = np.array([1e308 + 0j])
+        rows = HermiteCoeffVector(sigma=1.0, coeffs=Bicomplex.from_channels(huge, huge)).to_json()["coeffs"]
+        assert rows == [[1e308, 0.0, 0.0, 0.0]]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_evaluation_fails_closed(self):
+        # Horner's scheme overflowed to inf+nanj after two RuntimeWarnings
+        f = MonomialCoeffVector(2.0, [1, 1, 1])
         with pytest.raises(NonFiniteError):
-            HermiteCoeffVector(sigma=1.0, coeffs=Bicomplex.from_channels(huge, huge)).to_json()
+            eval_monomial_series(f, Bicomplex(1e300, 0))
+        with pytest.raises(NonFiniteError):
+            f.evaluate(Bicomplex(1e300, 0))
+        with pytest.raises(NonFiniteError):
+            HermiteCoeffVector(1.0, [0] * 12 + [1]).evaluate(1e30)
 
     def test_idempotent_split(self):
         f = MonomialCoeffVector(nu=2.0, coeffs=(Bicomplex(1 + 0j, 1j), Bicomplex(0j, 2j)))
@@ -199,6 +210,19 @@ class TestMonomialNorms:
         with pytest.raises(NonFiniteError):
             monomial_norm_sq(n, 2.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("nu", [1e3, 20.0, 2.0, 1.7, 1.0, 0.1])
+    def test_vector_norm_matches_scalar(self, nu):
+        # both read the one weight helper; they agree, or both raise
+        for n in range(401):
+            try:
+                scalar = monomial_norm_sq(n, nu)
+            except NonFiniteError:
+                with pytest.raises(NonFiniteError):
+                    MonomialCoeffVector.basis(n, nu).norm_sq()
+                continue
+            assert_allclose(MonomialCoeffVector.basis(n, nu).norm_sq(), scalar, rtol=1e-14)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             monomial_norm_sq(-1, 2.0)
@@ -244,6 +268,7 @@ class TestInnerProducts:
                 assert_allclose(val.z1, want, atol=1e-13)
                 assert_allclose(val.z2, 0.0, atol=1e-13)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_H2nu_pairs_high_degrees_like_norm_sq(self):
         # the weight 2**n n!/nu**n itself overflows from degree 171 at nu = 2
         h = HermiteCoeffVector.from_json(

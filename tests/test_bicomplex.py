@@ -103,6 +103,15 @@ class TestConstruction:
         with pytest.raises(NonFiniteError):
             Bicomplex(complex(bad, 0.0), 1j).to_json()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_components_near_the_float_maximum(self):
+        # each component halves its channels before adding them, so channels
+        # near the float maximum give finite components, which encode
+        big = 1.5e308
+        assert Bicomplex.from_channels(big, big).z1 == big
+        assert Bicomplex.from_channels(big, -big).z2 == big * 1j
+        assert Bicomplex.from_channels(big, big).to_json() == [big, 0.0, 0.0, 0.0]
+
     def test_json_decodes_rows_to_array_value(self):
         Z = Bicomplex.from_json([[1.0, 2.0, 3.0, 4.0], [0.5, 0.0, -0.5, 0.25]])
         assert_allclose(Z.z1, [1 + 2j, 0.5])

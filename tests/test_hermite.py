@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 import sympy as sp
@@ -15,6 +17,7 @@ from bctransforms import (
     hermite_sigma,
     hermite_sigma_bc,
     integrate_real,
+    monomial_norm_sq,
     normalization_c,
     psi_n,
     psi_values,
@@ -22,6 +25,14 @@ from bctransforms import (
 from bctransforms.errors import NonFiniteError
 
 from conftest import assert_bc_close
+
+
+def mp_psi(n, sigma, x):
+    """psi_n(x) = H_n(sqrt(sigma) x) / sqrt(2**n n!) with mpmath's physicists'
+    Hermite polynomial H_n, at 50 digits."""
+    with mp.workdps(50):
+        t = mp.sqrt(mp.mpf(sigma)) * mp.mpf(x)
+        return float(mp.hermite(n, t) / mp.sqrt(mp.mpf(2) ** n * mp.factorial(n)))
 
 
 def rodrigues(n, sigma):
@@ -91,18 +102,50 @@ class TestNorms:
             assert_allclose(hermite_norm_sq(n, sigma), float(math.factorial(n)), rtol=1e-12)
 
     @pytest.mark.parametrize(
-        "call",
+        "call, want",
         [
-            lambda: hermite_norm_sq(3, 1e-300),  # underflows to 0.0
-            lambda: psi_n(3, 1e-300, 0.5),  # once a bare ZeroDivisionError
-            lambda: hermite_norm_sq(200, 1.0),  # once a bare OverflowError
-            lambda: psi_values(160, 1.0, 0.5),
+            (lambda: hermite_norm_sq(3, 1e-300), None),  # underflows to 0.0
+            # once a bare ZeroDivisionError, then NonFiniteError from the norm;
+            # the normalized recurrence never forms the norm
+            (lambda: psi_n(3, 1e-300, 0.5), lambda: mp_psi(3, 1e-300, 0.5)),
+            (lambda: hermite_norm_sq(200, 1.0), None),  # once a bare OverflowError
+            (lambda: psi_values(160, 1.0, 0.5)[-1], lambda: mp_psi(160, 1.0, 0.5)),
         ],
         ids=["norm-underflow", "psi_n-underflow", "norm-overflow", "psi_values-overflow"],
     )
-    def test_outside_float_range_raises(self, call):
-        with pytest.raises(NonFiniteError):
-            call()
+    def test_outside_float_range_raises(self, call, want):
+        """A norm outside float range raises; psi_n, which does not divide by
+        it, stays finite there and matches mpmath."""
+        if want is None:
+            with pytest.raises(NonFiniteError):
+                call()
+        else:
+            assert_allclose(call(), want(), rtol=1e-14)
+
+    @pytest.mark.parametrize("c", [2e-3, 0.1, 1.0, 2.0, 20.0])
+    def test_norms_against_mpmath(self, c):
+        # hermite_norm_sq at sigma = c/2 and monomial_norm_sq at nu = 2/c are
+        # both c**n n!; the true value is formed from each function's own
+        # float parameter, at 50 digits
+        with mp.workdps(50):
+            calls = [
+                (lambda n: hermite_norm_sq(n, c / 2.0), mp.mpf(2) * mp.mpf(c / 2.0)),
+                (lambda n: monomial_norm_sq(n, 2.0 / c), mp.mpf(2) / mp.mpf(2.0 / c)),
+            ]
+            for call, exact_c in calls:
+                for n in range(401):
+                    want = exact_c**n * mp.factorial(n)
+                    if mp.mpf("1e-300") <= want <= mp.mpf("1e300"):
+                        assert abs(call(n) - want) <= 1e-13 * want, (c, n)
+                    elif not sys.float_info.min <= want <= sys.float_info.max:
+                        with pytest.raises(NonFiniteError):
+                            call(n)
+                    else:  # near a float limit: the correct value or an error
+                        try:
+                            got = call(n)
+                        except NonFiniteError:
+                            continue
+                        assert abs(got - want) <= 1e-13 * want, (c, n)
 
     def test_psi_orthonormal_under_quadrature(self):
         sigma = 2.0
@@ -125,6 +168,38 @@ class TestNorms:
 
 
 class TestLadders:
+    @pytest.mark.parametrize("sigma, x", [(1.0, 0.5), (1.3, 3.0), (0.5, -7.0)])
+    @pytest.mark.parametrize("n", [150, 151, 160, 1000, 5000])
+    def test_psi_against_mpmath(self, n, sigma, x):
+        # Cramer's bound |psi_k(x)| < exp(sigma x**2 / 2) scales every rung
+        scale = math.exp(0.5 * sigma * x * x)
+        assert abs(psi_n(n, sigma, x) - mp_psi(n, sigma, x)) <= 1e-13 * scale
+
+    def test_hermite_sigma_beyond_the_norm(self):
+        # H_250 = psi_250 / r_250 is finite although its norm 2**250 250! is not
+        with mp.workdps(50):
+            want = float(mp.hermite(250, mp.mpf(0.5)))
+        assert_allclose(hermite_sigma(250, 1.0, 0.5), want, rtol=1e-13)
+        with pytest.raises(NonFiniteError):
+            hermite_norm_sq(250, 1.0)
+        with pytest.raises(NonFiniteError):  # r_280 is below the normal float range
+            hermite_sigma(280, 1.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: psi_values(12, 1.0, 1e30),  # returned inf as its last rung
+            lambda: psi_n(12, 1.0, np.array([0.5, 1e30])),
+            lambda: hermite_sigma(12, 1.0, 1e30),
+            lambda: hermite_sigma_bc(12, 1.0, Bicomplex(1e30, 0.0)),
+        ],
+        ids=["psi_values", "psi_n-array", "hermite_sigma", "hermite_sigma_bc"],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_value_raises(self, call):
+        with pytest.raises(NonFiniteError):
+            call()
+
     def test_psi_values_matches_psi_n(self):
         sigma = 1.4
         x = np.array([-1.0, 0.3, 2.2])

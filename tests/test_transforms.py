@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from bctransforms import (
@@ -23,6 +24,8 @@ from bctransforms import (
     sbt_kernel_C,
 )
 
+from bctransforms.errors import NonFiniteError
+
 from conftest import assert_bc_close, rand_bc
 
 SIGMA = 1.0
@@ -43,6 +46,34 @@ class TestCoefficientMaps:
         back = sbt_inverse_coeff(sbt_forward(phi, NU), SIGMA)
         for a, b in zip(back.coeffs, phi.coeffs):
             assert_bc_close(a, b, tol=1e-14 * max(1.0, bc_norm(b)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        degree=st.integers(0, 250),
+        sigma=st.floats(0.25, 4.0),
+        nu=st.floats(1.0, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_roundtrip_to_high_degree(self, degree, sigma, nu, seed):
+        # at nu >= 1 every r_n up to degree 250 is a normal float
+        # (r_250 >= 1e-285), so both maps round each coefficient once
+        rows = np.random.default_rng(seed).standard_normal((degree + 1, 4))
+        phi = HermiteCoeffVector(sigma, Bicomplex.from_json(rows))
+        F = sbt_forward(phi, nu)
+        back = sbt_inverse_coeff(F, sigma)
+        for got, want in ((back.coeffs.alpha, phi.coeffs.alpha), (back.coeffs.beta, phi.coeffs.beta)):
+            assert_allclose(got, want, rtol=1e-15)
+        assert_allclose(F.norm_sq(), phi.norm_sq(), rtol=1e-13)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_weight_below_float_range_raises(self):
+        # r_n = (nu**n / (2**n n!))**(1/2) leaves the normal float range near
+        # degree 300 at nu = 2; the forward map returned zeros there
+        phi = HermiteCoeffVector.basis(400, SIGMA)
+        with pytest.raises(NonFiniteError):
+            sbt_forward(phi, NU)
+        with pytest.raises(NonFiniteError):
+            sbt_inverse_coeff(MonomialCoeffVector.basis(400, NU), SIGMA)
 
     def test_isometry_exact(self, rng):
         coeffs = tuple(Bicomplex.from_reals(*rng.standard_normal(4)) for _ in range(6))
