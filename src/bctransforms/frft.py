@@ -221,15 +221,19 @@ def mehler_closed(sigma: float, theta, x, y) -> Bicomplex:
 
 
 def mehler_series(sigma: float, theta, x, y, n_terms: int = 60) -> Bicomplex:
-    """Partial Mehler sum sum_n theta**n psi_n(x) psi_n(y)."""
+    """Partial Mehler sum sum_n theta**n psi_n(x) psi_n(y); ``y`` may be
+    bicomplex.  A sum outside float range raises NonFiniteError."""
+    if n_terms < 1:
+        raise ValueError("need at least one term")
     th, _, _ = _rotation(sigma, theta, _mehler_guard)
     acc = power = ONE
     ladders = zip(_ladder(n_terms - 1, sigma, x), _ladder(n_terms - 1, sigma, y))
     next(ladders)  # the n = 0 term is the ONE already in acc
-    for px, py in ladders:
-        power = power * th
-        acc = acc + power * (px * py)
-    return acc
+    with np.errstate(all="ignore"):
+        for px, py in ladders:
+            power = power * th
+            acc = acc + power * (px * py)
+    return _require_finite(acc, "Mehler series is outside float range")
 
 
 def mehler_bilinear_bc(sigma: float, theta, Z: Bicomplex, y) -> Bicomplex:
@@ -238,21 +242,12 @@ def mehler_bilinear_bc(sigma: float, theta, Z: Bicomplex, y) -> Bicomplex:
     The sum is symmetric in its two arguments, so the exponent is the
     rotation exponent -S (y - theta Z)**2 plus sigma y**2.
     """
-    th, pref, S = _rotation(sigma, theta, _mehler_guard)
-    K = pref * bc_exp(_exponent(S, th, y, as_bicomplex(Z)) + sigma * y * y)
-    return _require_finite(K, "mehler_bilinear_bc is outside float range")
+    return mehler_closed(sigma, theta, y, as_bicomplex(Z))
 
 
 def mehler_bilinear_series(sigma: float, theta, Z: Bicomplex, y, n_terms: int = 60) -> Bicomplex:
     """Series oracle for :func:`mehler_bilinear_bc`."""
-    th, _, _ = _rotation(sigma, theta, _mehler_guard)
-    acc = power = ONE
-    ladders = zip(_ladder(n_terms - 1, sigma, as_bicomplex(Z)), _ladder(n_terms - 1, sigma, y))
-    next(ladders)  # the n = 0 term is the ONE already in acc
-    for pz, py in ladders:
-        power = power * th
-        acc = acc + (power * pz) * py
-    return acc
+    return mehler_series(sigma, theta, y, as_bicomplex(Z), n_terms)
 
 
 def ck_frft_kernel(sigma: float, theta: ThetaParam, x, Z: Bicomplex) -> Bicomplex:

@@ -14,7 +14,8 @@ which never forms H_n or n!, and H_n = psi_n / r_n (both are checked against
 symbolic differentiation in the test suite).  Every weight comes from one
 ratio ladder r_n = r_{n-1} / sqrt(c n): at c = 2/nu it is the coefficient
 map psi_n -> r_n Z**n of the coherent-state transform, and 1/r_n**2 the
-squared norm of the monomial Z**n.
+squared norm of the monomial Z**n.  At sigma = 1 the same ladder gives the
+Gauss-Hermite weights sqrt(pi) / sum_{k<n} psi_k(t_i)**2 in ``quadrature``.
 
 Limits: Cramer's bound |psi_n(x)| < exp(sigma x**2 / 2) keeps psi_n finite
 at every degree for |x| below about 37 / sqrt(sigma).  At sigma = 1 the norm
@@ -131,7 +132,8 @@ def generating_G(sigma: float, nu: float, x, Z: Bicomplex) -> Bicomplex:
 def generating_series(sigma: float, nu: float, x, Z: Bicomplex, n_terms: int = 60) -> Bicomplex:
     """Partial sum of the generating series; the oracle for :func:`generating_G`.
 
-    Terms are psi_n(x) (Z*)**n r_n with r_n = (nu**n / (2**n n!))**(1/2).
+    Terms are psi_n(x) (Z*)**n r_n with r_n = (nu**n / (2**n n!))**(1/2).  A sum
+    outside float range raises NonFiniteError.
     """
     if n_terms < 1:
         raise ValueError("need at least one term")
@@ -141,7 +143,8 @@ def generating_series(sigma: float, nu: float, x, Z: Bicomplex, n_terms: int = 6
     terms = zip(_ladder(n_terms - 1, sigma, x), _scale(n_terms - 1, 2.0 / nu).tolist())
     acc = as_bicomplex(next(terms)[0])  # r_0 = 1
     power = ONE
-    for p, r in terms:
-        power = power * Zs
-        acc = acc + (power * p) * r
-    return acc
+    with np.errstate(all="ignore"):
+        for p, r in terms:
+            power = power * Zs
+            acc = acc + (power * p) * r
+    return _require_finite(acc, "generating series is outside float range")

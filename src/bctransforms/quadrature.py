@@ -9,11 +9,12 @@ and the four-real-dimensional bicomplex integral, computed channelwise as
 
     (1/4) double-integral f(alpha e+ + beta e-) w(alpha) w(beta).
 
-Nodes come from the eigenvalues of the symmetric tridiagonal Jacobi matrix
-(off-diagonal entries sqrt(k/2)); weights from the squared first eigenvector
-components scaled by the zeroth moment sqrt(pi).  The gamma = 1 rule is cached
-and rescaled exactly, so rules at different gamma share node/weight ratios to
-machine precision.
+Nodes are the eigenvalues (``eigvalsh``) of the symmetric tridiagonal Jacobi
+matrix (off-diagonal entries sqrt(k/2)); weights are the Christoffel numbers
+sqrt(pi) / sum_{k<n} psi_k(t)**2 from the psi ladder of ``hermite`` at sigma = 1,
+accurate in relative terms to the smallest tail weight.  The gamma = 1 rule is
+cached and rescaled exactly, so rules at different gamma share node/weight
+ratios to machine precision.
 
 Integrands whose Gaussian decay differs from the rule's weight must fold the
 residual exponential into ``f``; callers in this package always build rules
@@ -31,6 +32,7 @@ import numpy as np
 
 from .bicomplex import Bicomplex, _require_finite, as_bicomplex
 from .errors import ConvergenceError, _require_positive
+from .hermite import _ladder
 
 __all__ = [
     "QuadratureRule",
@@ -74,24 +76,23 @@ class QuadratureRule:
 
 @functools.lru_cache(maxsize=None)
 def _standard_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite rule for exp(-t**2) via the Jacobi matrix eigenproblem."""
+    """Gauss-Hermite rule for exp(-t**2): Jacobi-matrix nodes, Christoffel weights."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    if order == 1:
-        nodes = np.zeros(1)
-        weights = np.array([math.sqrt(math.pi)])
-    else:
-        k = np.arange(1, order)
-        jacobi = np.diag(np.sqrt(k / 2.0), 1)
-        jacobi += jacobi.T
-        try:
-            nodes, vectors = np.linalg.eigh(jacobi)
-        except np.linalg.LinAlgError as err:  # pragma: no cover - eigh is robust at these sizes
-            raise ConvergenceError(f"Jacobi eigenproblem failed for order {order}") from err
-        weights = math.sqrt(math.pi) * vectors[0, :] ** 2
-        # enforce the exact +/- symmetry of the rule
-        nodes = (nodes - nodes[::-1]) / 2.0
-        weights = (weights + weights[::-1]) / 2.0
+    k = np.arange(1, order)
+    jacobi = np.diag(np.sqrt(k / 2.0), 1)
+    jacobi += jacobi.T
+    try:
+        nodes = np.linalg.eigvalsh(jacobi)
+    except np.linalg.LinAlgError as err:  # pragma: no cover - eigvalsh is robust at these sizes
+        raise ConvergenceError(f"Jacobi eigenproblem failed for order {order}") from err
+    # enforce the exact +/- symmetry of the rule; the weights inherit it, as
+    # psi_k(-t) = (-1)**k psi_k(t) holds exactly in floating point
+    nodes = (nodes - nodes[::-1]) / 2.0
+    # where the sum leaves float range (inf, or NaN from inf - inf), the true weight is below 1e-600
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sum(p * p for p in _ladder(order - 1, 1.0, nodes))
+        weights = np.nan_to_num(math.sqrt(math.pi) / total, nan=0.0)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -206,5 +207,5 @@ def normalization_c(d, alpha: float) -> float:
     if d == 1:
         return ratio
     if d == 2 or d == "BC":
-        return ratio**2
+        return _require_finite(ratio * ratio, f"normalization constant at alpha={alpha} is outside float range")
     raise ValueError(f"unsupported dimension tag {d!r}")

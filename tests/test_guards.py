@@ -19,9 +19,11 @@ from bctransforms.frft import (
     frft_kernel,
     gaussian_integral_closed,
     mehler_bilinear_bc,
+    mehler_bilinear_series,
     mehler_closed,
+    mehler_series,
 )
-from bctransforms.hermite import generating_G, hermite_norm_sq, hermite_sigma, psi_values
+from bctransforms.hermite import generating_G, generating_series, hermite_norm_sq, hermite_sigma, psi_values
 from bctransforms.quadrature import gauss_hermite, normalization_c
 from bctransforms.transforms import (
     sbt_forward,
@@ -97,3 +99,25 @@ OVERFLOWING_KERNELS = {
 def test_closed_form_kernel_fails_closed(name):
     with pytest.raises(NonFiniteError, match="outside float range"):
         OVERFLOWING_KERNELS[name]()
+
+
+# each call overflows past the float maximum on the way to its value
+OVERFLOWING_SUMS = {
+    "mehler_series": lambda: mehler_series(1, 0.5, 1e200, 1e200),
+    "mehler_bilinear_series": lambda: mehler_bilinear_series(1, 0.5, Bicomplex(1e200, 0), 1e200),
+    "generating_series": lambda: generating_series(1, 2, 1e200, Bicomplex(1e200, 0)),
+    "normalization_c.2": lambda: normalization_c(2, 1e300),
+    "normalization_c.BC": lambda: normalization_c("BC", 1e300),
+}
+
+
+@pytest.mark.parametrize("name", list(OVERFLOWING_SUMS))
+def test_series_and_constants_fail_closed(name):
+    with pytest.raises(NonFiniteError, match="outside float range"):
+        OVERFLOWING_SUMS[name]()
+
+
+@pytest.mark.parametrize("n_terms", [0, -3])
+def test_mehler_series_needs_a_term(n_terms):
+    with pytest.raises(ValueError, match="need at least one term"):
+        mehler_series(1.0, 0.5, 0.1, 0.2, n_terms=n_terms)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -57,6 +58,26 @@ class TestRuleConstruction:
         rule = gauss_hermite(8, 2.0)
         with pytest.raises(ValueError):
             rule.nodes[0] = 0.0
+
+    @pytest.mark.parametrize("order", [2, 7, 64, 128, 256, 1000])
+    def test_weights_against_mpmath(self, order):
+        # reference: the root of H_n refined by Newton from the float node at
+        # 40 digits, and its weight 2**(n-1) n! sqrt(pi) / (n H_{n-1}(x))**2;
+        # eigenvector weights are off by 1e44 at order 128 in the tail
+        rule = gauss_hermite(order, 1.0)
+        n = order
+        with mp.workdps(40):
+            for i in sorted(set(np.linspace(n // 2, n - 1, 8).astype(int))):
+                x = mp.mpf(rule.nodes[i])
+                for _ in range(8):
+                    h_prev, h = _mp_hermite_pair(n, x)
+                    x -= h / (2 * n * h_prev)  # H_n' = 2n H_{n-1}
+                want = mp.mpf(2) ** (n - 1) * mp.factorial(n) * mp.sqrt(mp.pi) / (n * _mp_hermite_pair(n, x)[0]) ** 2
+                got = rule.weights[i]
+                if want > mp.mpf("1e-300"):
+                    assert abs(got - want) <= 1e-11 * want, (n, i, got, want)
+                else:  # below 1e-300 the weight underflows; it must not be garbage
+                    assert got <= 1e-290, (n, i, got, want)
 
     def test_defaults_exported(self):
         assert DEFAULT_ORDER == 64
@@ -270,6 +291,14 @@ class TestBlockedRingGrid:
         with pytest.raises(NonFiniteError):
             integrate_bicomplex(f, 2.0, rule, vectorized=True)
         assert len(calls) == 42
+
+
+def _mp_hermite_pair(n, x):
+    """(H_{n-1}(x), H_n(x)) by the physicists' recurrence, at mpmath precision."""
+    h_prev, h = mp.mpf(1), 2 * x
+    for k in range(1, n):
+        h_prev, h = h, 2 * x * h - 2 * k * h_prev
+    return h_prev, h
 
 
 _Z0 = Bicomplex(0.3 + 0.2j, -0.1 + 0.4j)

@@ -60,6 +60,13 @@ def test_registry_order(report_all):
     assert report_all.all_passed
 
 
+@pytest.mark.parametrize("order", [128, 256])
+def test_all_pass_at_high_order(order):
+    # the integral cases read the rule at this order out to its tail weights
+    report = verification.run_suite("all", order=order)
+    assert report.all_passed, [(c.id, c.error) for c in report.cases if not c.passed]
+
+
 def test_all_equals_concatenated_suites(report_all):
     # every case seeds its own generator, so its error does not depend on
     # which cases ran before it
