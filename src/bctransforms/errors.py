@@ -21,7 +21,8 @@ class ExcludedParameterError(BCTransformsError, ValueError):
 
 
 class DomainError(BCTransformsError, ValueError):
-    """Closed-form integral requested outside its convergence domain."""
+    """A weight parameter is not positive and finite, or a closed-form
+    integral was requested outside its convergence domain."""
 
 
 class NonFiniteError(BCTransformsError, ArithmeticError):
@@ -37,6 +38,6 @@ class DimensionMismatch(BCTransformsError, ValueError):
 
 
 def _require_positive(name: str, value) -> None:
-    """Raise ValueError unless 0 < ``value`` < inf; NaN fails too."""
+    """Raise DomainError unless 0 < ``value`` < inf; NaN fails too."""
     if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")

@@ -157,6 +157,18 @@ def integrate_complex(
     return _weighted_sum(f, xi, w2, vectorized)
 
 
+def _grid_sum(values, r: np.ndarray, c: np.ndarray) -> complex:
+    """Sum r[i] c[j] values[i, j] for ``values`` broadcastable to
+    ``(len(r), len(c))``, as r @ A @ c.  A length-one axis of A takes the sum
+    of its weights, so the outer weight block is never built."""
+    A = np.atleast_2d(values)
+    if A.shape[0] == 1:
+        r = r.sum(keepdims=True)
+    if A.shape[1] == 1:
+        c = c.sum(keepdims=True)
+    return complex(r @ A @ c)
+
+
 def integrate_bicomplex(
     f: Callable, nu: float, rule: QuadratureRule, *, vectorized: bool = False
 ) -> Bicomplex:
@@ -166,16 +178,23 @@ def integrate_bicomplex(
     equals (1/4) of the iterated planar integral over (alpha, beta); the rule
     must therefore carry gamma = nu / 2 for each complex coordinate.  With
     ``vectorized=True`` the (alpha, beta) tensor grid is evaluated in blocks of
-    whole alpha rows, at most ``_BLOCK_POINTS`` points each (one row when a
-    row alone is larger).  Each block reaches ``f`` as an outer product: alpha
-    is a ``(rows, 1)`` column and beta the ``(1, n**2)`` row of all planar
-    nodes, so a channelwise integrand does its work once per node and a
-    mixing one broadcasts to the full ``(rows, n**2)`` block.  ``f`` must
-    therefore broadcast, and must not index, iterate or take ``len()`` of
-    the block; every block is checked for non-finite values.  Otherwise
-    ``f`` is called once per grid point.
+    whole alpha rows.  Each block reaches ``f`` as an outer product: alpha is
+    a ``(rows, 1)`` column and beta the ``(1, n**2)`` row of all planar nodes,
+    so ``f`` must broadcast, and must not index, iterate, reduce or take
+    ``len()`` of the block.  Each channel of a block is summed as
+    w[rows] @ f @ w with the planar weights w, where a length-one axis of f
+    takes the sum of its weights: the tensor-grid sum regrouped, without the
+    outer weight block.  A channelwise integrand (products, powers, ``exp``,
+    the ring kernel) returns ``(rows, 1)`` and ``(1, n**2)`` channels, so it
+    costs O(rows + n**2) per block; once the first block (at least two rows)
+    shows this, the remaining rows go in one call.  A mixing integrand
+    (``norm``, ``z1``, ``conj_dagger``, ``|Z|**2``) fills every block and
+    gets at most ``_BLOCK_POINTS`` points per call after the first (one row
+    when a row alone is larger).  Every block is checked for non-finite
+    values.  Otherwise ``f`` is called once per grid point.
     """
-    if abs(rule.gamma - nu / 2.0) > 1e-12 * max(1.0, abs(nu)):
+    _require_positive("nu", nu)
+    if not abs(rule.gamma - nu / 2.0) <= 1e-12 * max(1.0, abs(nu)):
         raise ValueError(f"rule gamma {rule.gamma} does not match nu/2 = {nu / 2.0}")
     if not vectorized:
 
@@ -184,13 +203,22 @@ def integrate_bicomplex(
 
         return 0.25 * integrate_complex(slice_at, rule)
     xi, w2 = _complex_grid(rule)
-    rows = max(1, _BLOCK_POINTS // len(xi))
-    total = Bicomplex.from_channels(0j, 0j)
-    for start in range(0, len(xi), rows):
+    n2 = len(xi)
+    step = max(1, _BLOCK_POINTS // n2)
+    # one row cannot tell a channelwise (1, n**2) beta channel from a full block
+    start, rows = 0, max(2, step)
+    acc_a = acc_b = 0j
+    while start < n2:
         block = slice(start, start + rows)
         Z = Bicomplex.from_channels(xi[block, None], xi[None, :])
-        total = total + _weighted_sum(f, Z, np.outer(w2[block], w2), True)
-    return 0.25 * total
+        values = _require_finite(as_bicomplex(f(Z)), _NONFINITE_INTEGRAND)
+        r = w2[block]
+        acc_a += _grid_sum(values.alpha, r, w2)
+        acc_b += _grid_sum(values.beta, r, w2)
+        start += len(r)
+        # a block that neither channel fills shows f channelwise: the rest in one call
+        rows = step if max(np.size(values.alpha), np.size(values.beta)) == len(r) * n2 else n2
+    return 0.25 * Bicomplex.from_channels(acc_a, acc_b)
 
 
 def normalization_c(d, alpha: float) -> float:

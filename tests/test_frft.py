@@ -276,7 +276,7 @@ def test_shared_guards(call, excluded, outside):
         # sigma is checked before theta, so a bad theta does not mask it
         with pytest.raises(ValueError) as info:
             call(sigma, excluded)
-        assert info.type is ValueError
+        assert info.type is DomainError
     with pytest.raises(ExcludedParameterError):
         call(SIGMA, excluded)
     if outside is not None:

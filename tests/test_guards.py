@@ -12,7 +12,7 @@ from bctransforms.bargmann import (
     kernel_K_C,
     monomial_norm_sq,
 )
-from bctransforms.errors import NonFiniteError
+from bctransforms.errors import DomainError, NonFiniteError
 from bctransforms.frft import (
     ThetaParam,
     ck_frft_kernel,
@@ -24,7 +24,7 @@ from bctransforms.frft import (
     mehler_series,
 )
 from bctransforms.hermite import generating_G, generating_series, hermite_norm_sq, hermite_sigma, psi_values
-from bctransforms.quadrature import gauss_hermite, normalization_c
+from bctransforms.quadrature import gauss_hermite, integrate_bicomplex, normalization_c
 from bctransforms.transforms import (
     sbt_forward,
     sbt_inverse_integral,
@@ -43,6 +43,7 @@ WEIGHT_CALLS = {
     "generating_G.nu": lambda v: generating_G(1.0, v, 0.5, Z1),
     "gauss_hermite": lambda v: gauss_hermite(8, v),
     "normalization_c": lambda v: normalization_c(0, v),
+    "integrate_bicomplex": lambda v: integrate_bicomplex(lambda Z: Z, v, gauss_hermite(4, 1.0), vectorized=True),
     "HermiteCoeffVector": lambda v: HermiteCoeffVector(v, [1.0]),
     "MonomialCoeffVector": lambda v: MonomialCoeffVector(v, [1.0]),
     "monomial_norm_sq": lambda v: monomial_norm_sq(3, v),
@@ -56,7 +57,7 @@ WEIGHT_CALLS = {
     "sbt_inverse_integral.sigma": lambda v: sbt_inverse_integral(lambda Z: Z, v, 2.0, 0.5, order=8),
     "sbt_inverse_integral.nu": lambda v: sbt_inverse_integral(lambda Z: Z, 1.0, v, 0.5, order=8),
     "frft_kernel": lambda v: frft_kernel(v, THETA, 0.3, -0.2),
-    # sigma is checked before theta, so an excluded theta still gives a plain ValueError
+    # sigma is checked before theta, so an excluded theta still gives the weight guard's DomainError
     "mehler_closed": lambda v: mehler_closed(v, 1.0, 0.3, -0.2),
     "gaussian_integral_closed": lambda v: gaussian_integral_closed(v, 0.0, 0.0, 0.0, 0.0),
 }
@@ -67,7 +68,7 @@ WEIGHT_CALLS = {
 def test_weight_parameter_must_be_positive_and_finite(name, bad):
     with pytest.raises(ValueError) as info:
         WEIGHT_CALLS[name](bad)
-    assert type(info.value) is ValueError
+    assert type(info.value) is DomainError
     assert "positive and finite" in str(info.value)
 
 

@@ -16,7 +16,7 @@ from bctransforms import (
     kernel_K_BC,
     normalization_c,
 )
-from bctransforms import bargmann, quadrature
+from bctransforms import bargmann
 from bctransforms import bicomplex as bc
 from bctransforms.errors import NonFiniteError
 from bctransforms.quadrature import DEFAULT_BC_ORDER, DEFAULT_ORDER, QuadratureRule
@@ -188,18 +188,51 @@ class TestBicomplexIntegrals:
             integrate_bicomplex(lambda Z: 1.0, 3.0, rule)
 
 
-class TestBlockedRingGrid:
-    """The vectorized ring path evaluates blocks of whole alpha rows: one
-    block at order 7, 41 full blocks of 14 rows and a last one of 2 rows at
-    order 24, and one row per call at order 91 (91**2 points > 8192).  Each
-    block is an outer product: alpha a (rows, 1) column, beta a (1, n**2) row."""
+_Z0 = Bicomplex(0.3 + 0.2j, -0.1 + 0.4j)
 
-    @pytest.mark.parametrize("order", [7, 24])
-    def test_matches_pointwise_loop(self, order):
+
+def _normsq(Z):
+    a, b = Z.alpha, Z.beta
+    return ((a * np.conj(a)).real + (b * np.conj(b)).real) / 2.0
+
+
+def _channelwise(W):
+    return kernel_K_BC(2.0, _Z0, W) * W**3
+
+
+def _mixed(Z):
+    """Not channelwise: each channel depends on both alpha and beta.  Works
+    on scalar and array channels alike."""
+    a, b = Z.alpha * Z.alpha.conjugate(), Z.beta * Z.beta.conjugate()
+    return Bicomplex.from_channels(a * (1 + b) + Z.alpha, b * (1 + 2 * a))
+
+
+def _assert_channels_close(got, want, rtol, atol=0.0):
+    assert_allclose(complex(got.alpha), complex(want.alpha), rtol=rtol, atol=atol)
+    assert_allclose(complex(got.beta), complex(want.beta), rtol=rtol, atol=atol)
+
+
+class TestBlockedRingGrid:
+    """The vectorized ring path evaluates blocks of whole alpha rows, each an
+    outer product: alpha a (rows, 1) column, beta the (1, n**2) row.  A
+    mixing integrand gets blocks of at most 8192 points (41 full blocks of 14
+    rows and a last one of 2 rows at order 24); a channelwise one shows its
+    shape on the first block (at least 2 rows) and gets the rest in one call."""
+
+    @pytest.mark.parametrize(
+        "order, f, atol",
+        # the channelwise integral's beta channel is 5e-3 against terms of
+        # order 1, so it is compared at the scale of its terms; at order 12
+        # it takes a first block of 56 rows and then the other 88 in one call
+        # (order 24 would cost 331 776 scalar kernel calls in the loop)
+        [(7, _mixed, 0.0), (24, _mixed, 0.0), (7, _channelwise, 1e-14), (12, _channelwise, 1e-14)],
+        ids=["7", "24", "channelwise-7", "channelwise-12"],
+    )
+    def test_matches_pointwise_loop(self, order, f, atol):
         rule = gauss_hermite(order, 1.0)
-        got = integrate_bicomplex(_mixed, 2.0, rule, vectorized=True)
-        want = integrate_bicomplex(_mixed, 2.0, rule)
-        _assert_channels_close(got, want, 1e-14)
+        got = integrate_bicomplex(f, 2.0, rule, vectorized=True)
+        want = integrate_bicomplex(f, 2.0, rule)
+        _assert_channels_close(got, want, 1e-14, atol)
 
     @pytest.mark.parametrize("order", [7, 24, 91])
     def test_matches_separable_sums(self, order):
@@ -224,48 +257,67 @@ class TestBlockedRingGrid:
         assert_allclose(scalar(got) * normalization_c("BC", nu), 1.0, rtol=1e-13)
 
     def test_call_structure_at_order_24(self):
-        alphas, betas, sizes = [], [], []
+        # a channelwise f gets a first block of 14 rows and then the other
+        # 562 in one call; a mixing f (z1) gets 41 blocks of 14 rows and one of 2
+        for f, alphas in (
+            (lambda Z: Z.alpha * 0 + 1.0, [(14, 1), (562, 1)]),
+            (lambda Z: Z.z1, [(14, 1)] * 41 + [(2, 1)]),
+        ):
+            seen, betas = [], []
 
-        def f(Z):
-            alphas.append(Z.alpha.shape)
-            betas.append(Z.beta.shape)
-            sizes.append(np.broadcast(Z.alpha, Z.beta).size)
-            return Z.alpha * 0 + 1.0
+            def spy(Z):
+                seen.append(Z.alpha.shape)
+                betas.append(Z.beta.shape)
+                return f(Z)
 
-        integrate_bicomplex(f, 2.0, gauss_hermite(24, 1.0), vectorized=True)
-        # 42 calls whose broadcast blocks cover all 24**4 = 331 776 grid points
-        assert alphas == [(14, 1)] * 41 + [(2, 1)]
-        assert betas == [(1, 24**2)] * 42
-        assert sizes == [14 * 24**2] * 41 + [2 * 24**2]
-        assert sum(sizes) == 331_776
+            integrate_bicomplex(spy, 2.0, gauss_hermite(24, 1.0), vectorized=True)
+            assert seen == alphas
+            assert betas == [(1, 24**2)] * len(alphas)
+
+    def test_first_block_has_two_rows_at_order_91(self):
+        # one row alone is 91**2 > 8192 points, and one row cannot tell a
+        # channelwise (1, n**2) beta channel from a mixing (1, n**2) block;
+        # the mixing run is stopped after four of its 8280 calls
+        seen = []
+
+        def spy(Z, f):
+            seen.append(Z.alpha.shape)
+            if len(seen) > 3:
+                raise RuntimeError("stop")
+            return f(Z)
+
+        rule = gauss_hermite(91, 1.0)
+        integrate_bicomplex(lambda Z: spy(Z, bc.exp), 2.0, rule, vectorized=True)
+        assert seen == [(2, 1), (91**2 - 2, 1)]
+        seen.clear()
+        with pytest.raises(RuntimeError, match="stop"):
+            integrate_bicomplex(lambda Z: spy(Z, bc.norm), 2.0, rule, vectorized=True)
+        assert seen == [(2, 1), (1, 1), (1, 1), (1, 1)]
 
     @pytest.mark.parametrize("order", [7, 24])
     @pytest.mark.parametrize(
         "f",
         [
-            lambda W: kernel_K_BC(2.0, _Z0, W) * W**3,  # channelwise
+            _channelwise,
             lambda W: conj_dagger(W) * W,  # swaps the channels, then mixes them
             bc.norm,  # mixes the channels
         ],
         ids=["kernel-times-power", "dagger-product", "norm"],
     )
-    def test_bit_identical_to_materialized_grid(self, order, f):
-        # the reference repeats alpha and tiles beta over each block, with the
-        # outer weights raveled; the broadcast block must give the same bits
+    def test_near_exact_grid_sum(self, order, f):
+        # the exactly rounded sum of w * f over the materialized grid; the
+        # regrouped sums may differ from it only by rounding, which stays
+        # within 2**-50 of the sum of |w * f| in each channel
         rule = gauss_hermite(order, 1.0)
         xi = (rule.nodes[:, None] + 1j * rule.nodes[None, :]).ravel()
         w2 = (rule.weights[:, None] * rule.weights[None, :]).ravel()
-        rows = max(1, quadrature._BLOCK_POINTS // len(xi))
-        total = Bicomplex.from_channels(0j, 0j)
-        for start in range(0, len(xi), rows):
-            block = xi[start : start + rows]
-            values = as_bicomplex(f(Bicomplex.from_channels(np.repeat(block, len(xi)), np.tile(xi, len(block)))))
-            w = np.outer(w2[start : start + rows], w2).ravel()
-            total = total + Bicomplex.from_channels(complex(np.sum(w * values.alpha)), complex(np.sum(w * values.beta)))
-        want = 0.25 * total
+        values = as_bicomplex(f(Bicomplex.from_channels(np.repeat(xi, len(xi)), np.tile(xi, len(xi)))))
+        w = np.outer(w2, w2).ravel()
         got = integrate_bicomplex(f, 2.0, rule, vectorized=True)
-        assert complex(got.alpha) == complex(want.alpha)
-        assert complex(got.beta) == complex(want.beta)
+        for channel, total in ((values.alpha, got.alpha), (values.beta, got.beta)):
+            terms = w * channel
+            exact = complex(math.fsum(terms.real), math.fsum(terms.imag))
+            assert abs(4 * complex(total) - exact) <= 2.0**-50 * math.fsum(np.abs(terms))
 
     def test_channelwise_exp_runs_once_per_node(self, monkeypatch):
         seen = []
@@ -275,22 +327,25 @@ class TestBlockedRingGrid:
             return bc.exp(W)
 
         monkeypatch.setattr(bargmann, "bc_exp", spy)
-        integrate_bicomplex(lambda W: kernel_K_BC(2.0, _Z0, W) * W**3, 2.0, gauss_hermite(24, 1.0), vectorized=True)
+        integrate_bicomplex(_channelwise, 2.0, gauss_hermite(24, 1.0), vectorized=True)
         # rows alpha values and 576 beta values per call, not rows * 576 each
-        assert seen == [14 + 576] * 41 + [2 + 576]
+        assert seen == [14 + 576, 562 + 576]
 
     def test_nan_in_last_block_raises(self):
         rule = gauss_hermite(24, 1.0)
         last_alpha = complex(rule.nodes[-1], rule.nodes[-1])
-        calls = []
+        # a channelwise integrand reaches the last row in its second call, a
+        # mixing one in its 42nd
+        for fill, n_calls in ((lambda Z: 1.0, 2), (lambda Z: Z.z1, 42)):
+            calls = []
 
-        def f(Z):
-            calls.append(1)
-            return np.where(Z.alpha == last_alpha, np.nan, 1.0)
+            def f(Z):
+                calls.append(1)
+                return np.where(Z.alpha == last_alpha, np.nan, fill(Z))
 
-        with pytest.raises(NonFiniteError):
-            integrate_bicomplex(f, 2.0, rule, vectorized=True)
-        assert len(calls) == 42
+            with pytest.raises(NonFiniteError):
+                integrate_bicomplex(f, 2.0, rule, vectorized=True)
+            assert len(calls) == n_calls
 
 
 def _mp_hermite_pair(n, x):
@@ -299,26 +354,6 @@ def _mp_hermite_pair(n, x):
     for k in range(1, n):
         h_prev, h = h, 2 * x * h - 2 * k * h_prev
     return h_prev, h
-
-
-_Z0 = Bicomplex(0.3 + 0.2j, -0.1 + 0.4j)
-
-
-def _normsq(Z):
-    a, b = Z.alpha, Z.beta
-    return ((a * np.conj(a)).real + (b * np.conj(b)).real) / 2.0
-
-
-def _mixed(Z):
-    """Not channelwise: each channel depends on both alpha and beta.  Works
-    on scalar and array channels alike."""
-    a, b = Z.alpha * Z.alpha.conjugate(), Z.beta * Z.beta.conjugate()
-    return Bicomplex.from_channels(a * (1 + b) + Z.alpha, b * (1 + 2 * a))
-
-
-def _assert_channels_close(got, want, rtol):
-    assert_allclose(complex(got.alpha), complex(want.alpha), rtol=rtol)
-    assert_allclose(complex(got.beta), complex(want.beta), rtol=rtol)
 
 
 class TestNormalization:
