@@ -27,6 +27,7 @@ import numpy as np
 
 from .bicomplex import (
     Bicomplex,
+    _fails_closed,
     _require_finite,
     as_bicomplex,
     bc_inner,
@@ -75,7 +76,7 @@ class _CoeffVector:
         if alpha.ndim != 1 or alpha.shape != beta.shape or not alpha.size:
             raise ValueError("coefficients must form a non-empty one-dimensional sequence")
         c = Bicomplex.from_channels(alpha, beta)
-        object.__setattr__(self, "coeffs", _require_finite(c, "coefficient vector has a non-finite entry"))
+        object.__setattr__(self, "coeffs", _require_finite(c, "coefficient vector has an entry outside float range"))
 
     @property
     def degree(self) -> int:
@@ -88,11 +89,10 @@ class _CoeffVector:
         unit[n] = 1.0
         return cls(param, Bicomplex.from_channels(unit, unit.copy()))
 
+    @_fails_closed
     def _norm_sq(self, scale=1.0) -> float:
         """sum_n (|c_n| / scale_n)**2; an overflow raises instead of returning inf."""
-        with np.errstate(all="ignore"):
-            out = float(np.sum((bc_norm(self.coeffs) / scale) ** 2))
-        return _require_finite(out, "squared norm is outside float range")
+        return float(np.sum((bc_norm(self.coeffs) / scale) ** 2))
 
     def to_json(self) -> dict:
         # a decoded vector re-encodes the rows it came from: its channels hold
@@ -121,13 +121,13 @@ class HermiteCoeffVector(_CoeffVector):
     coeffs: Bicomplex
     _param = "sigma"
 
+    @_fails_closed
     def evaluate(self, x):
         """Value of the expansion at real ``x`` (scalar or ndarray); a value
         outside float range raises NonFiniteError."""
         vals = np.array(psi_values(self.degree, self.sigma, x))
-        with np.errstate(all="ignore"):
-            a, b = (np.einsum("n,n...->...", ch, vals) for ch in (self.coeffs.alpha, self.coeffs.beta))
-        return _require_finite(Bicomplex.from_channels(a, b), "Hermite expansion is outside float range")
+        a, b = (np.einsum("n,n...->...", ch, vals) for ch in (self.coeffs.alpha, self.coeffs.beta))
+        return Bicomplex.from_channels(a, b)
 
     def norm_sq(self) -> float:
         """Sum of squared Euclidean moduli of the coefficients."""
@@ -150,17 +150,18 @@ class MonomialCoeffVector(_CoeffVector):
         return self._norm_sq(_scale(self.degree, 2.0 / self.nu))
 
 
+@_fails_closed
 def kernel_K_C(gamma: float, z: complex, w: complex) -> complex:
     """Classical planar reproducing kernel exp(gamma z conj(w))."""
     _require_positive("gamma", gamma)
-    return _require_finite(np.exp(gamma * z * np.conjugate(w)), "kernel_K_C is outside float range")
+    return np.exp(gamma * z * np.conjugate(w))
 
 
+@_fails_closed
 def kernel_K_BC(nu: float, Z: Bicomplex, W: Bicomplex) -> Bicomplex:
     """Bicomplex reproducing kernel exp((nu/2) Z W*)."""
     _require_positive("nu", nu)
-    K = bc_exp((0.5 * nu) * (as_bicomplex(Z) * conj_star(as_bicomplex(W))))
-    return _require_finite(K, "kernel_K_BC is outside float range")
+    return bc_exp((0.5 * nu) * (as_bicomplex(Z) * conj_star(as_bicomplex(W))))
 
 
 def monomial_norm_sq(n: int, nu: float) -> float:
@@ -172,14 +173,13 @@ def monomial_norm_sq(n: int, nu: float) -> float:
     return _weight(n, 2.0 / nu)
 
 
-def _pairwise_inner(f: Bicomplex, g: Bicomplex) -> Bicomplex:
-    """sum_n f_n g_n* over the common length of two coefficient arrays; a sum
-    outside float range raises instead of returning inf or NaN."""
+@_fails_closed
+def _pairwise_inner(f: Bicomplex, g: Bicomplex, scale=1.0) -> Bicomplex:
+    """sum_n (f_n / scale_n) (g_n / scale_n)* over the common length of two coefficient
+    arrays; a sum outside float range raises instead of returning inf or NaN."""
     n = min(len(f.alpha), len(g.alpha))
-    with np.errstate(all="ignore"):
-        p = bc_inner(f[:n], g[:n])
-        out = Bicomplex.from_channels(np.sum(p.alpha), np.sum(p.beta))
-    return _require_finite(out, "coefficient pairing is outside float range")
+    p = bc_inner(f[:n] / scale, g[:n] / scale)
+    return Bicomplex.from_channels(np.sum(p.alpha), np.sum(p.beta))
 
 
 def inner_L2sigma(
@@ -239,10 +239,8 @@ def inner_H2nu(
     if f_vec and g_vec:
         if abs(f.nu - g.nu) > 1e-12:
             raise DimensionMismatch(f"nu mismatch: {f.nu} vs {g.nu}")
-        n = min(f.degree, g.degree) + 1
-        s = _scale(n - 1, 2.0 / f.nu)  # pair A_n / r_n, as norm_sq does
-        with np.errstate(all="ignore"):
-            return _pairwise_inner(f.coeffs[:n] / s, g.coeffs[:n] / s)
+        # pair A_n / r_n, as norm_sq does
+        return _pairwise_inner(f.coeffs, g.coeffs, _scale(min(f.degree, g.degree), 2.0 / f.nu))
     nv = nu
     if nv is None:
         nv = f.nu if f_vec else (g.nu if g_vec else None)
@@ -284,14 +282,13 @@ def project_P(
     return normalization_c("BC", nu) * val
 
 
+@_fails_closed
 def eval_monomial_series(f: MonomialCoeffVector, Z: Bicomplex) -> Bicomplex:
     """Evaluate sum_n A_n Z**n by channelwise Horner recursion; a value
     outside float range raises NonFiniteError."""
     Z = as_bicomplex(Z)
     c = f.coeffs
-    with np.errstate(all="ignore"):
-        out = Bicomplex.from_channels(np.polyval(c.alpha[::-1], Z.alpha), np.polyval(c.beta[::-1], Z.beta))
-    return _require_finite(out, "monomial series is outside float range")
+    return Bicomplex.from_channels(np.polyval(c.alpha[::-1], Z.alpha), np.polyval(c.beta[::-1], Z.beta))
 
 
 def idempotent_split_F(f: MonomialCoeffVector) -> tuple[list[complex], list[complex]]:

@@ -29,6 +29,8 @@ value indexes and iterates along its first axis.  Instances are immutable.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 from numbers import Number
@@ -78,9 +80,28 @@ def _require_finite(value, message: str):
     """Return ``value`` (a number, an array or a Bicomplex) if every component
     is finite; otherwise raise NonFiniteError with ``message``."""
     parts = (value.alpha, value.beta) if isinstance(value, Bicomplex) else (value,)
-    if not all(np.all(np.isfinite(v)) for v in parts):
+    if not all(np.isfinite(v).all() if isinstance(v, np.ndarray) else cmath.isfinite(v) for v in parts):
         raise NonFiniteError(message)
     return value
+
+
+def _fails_closed(fn):
+    """Run ``fn`` with numpy's warnings off; a Python OverflowError inside it, or a
+    non-finite number, array, Bicomplex or coefficient vector (through its ``coeffs``)
+    returned, raises NonFiniteError.  Not for functions that call a user callable."""
+    message = f"{fn.__qualname__} is outside float range"
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            try:
+                out = fn(*args, **kwargs)
+            except OverflowError as err:
+                raise NonFiniteError(message) from err
+        _require_finite(getattr(out, "coeffs", out), message)
+        return out
+
+    return wrapper
 
 
 def _min_abs(v) -> float:
@@ -230,7 +251,10 @@ class Bicomplex:
             return NotImplemented
         if n < 0:
             return inverse(self) ** (-n)
-        return Bicomplex.from_channels(self.alpha**n, self.beta**n)
+        try:
+            return Bicomplex.from_channels(self.alpha**n, self.beta**n)
+        except OverflowError:  # Python's complex power; numpy's overflows to inf/NaN, as a product does
+            return Bicomplex.from_channels(np.power(self.alpha, n), np.power(self.beta, n))
 
     def __abs__(self) -> float:
         return norm(self)
@@ -340,12 +364,12 @@ def conj_star(Z: Bicomplex) -> Bicomplex:
 
 
 def norm(Z: Bicomplex) -> float:
-    """Euclidean norm sqrt(|z1|^2 + |z2|^2) = hypot(|alpha|, |beta|) / sqrt(2),
-    scaled so that no square overflows or underflows."""
+    """Euclidean norm sqrt(|z1|^2 + |z2|^2) = hypot(|alpha / 2|, |beta / 2|) / sqrt(1/2),
+    scaled so that no square overflows or underflows and a representable norm stays finite."""
     a, b = Z.alpha, Z.beta
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.hypot(np.abs(a), np.abs(b)) / math.sqrt(2.0)
-    return math.hypot(a.real, a.imag, b.real, b.imag) / math.sqrt(2.0)
+        return np.hypot(np.abs(a / 2), np.abs(b / 2)) / math.sqrt(0.5)
+    return math.hypot(a.real / 2, a.imag / 2, b.real / 2, b.imag / 2) / math.sqrt(0.5)
 
 
 def exp(Z: Bicomplex) -> Bicomplex:

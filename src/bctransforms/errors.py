@@ -26,7 +26,8 @@ class DomainError(BCTransformsError, ValueError):
 
 
 class NonFiniteError(BCTransformsError, ArithmeticError):
-    """An integrand produced NaN or infinity at a quadrature node."""
+    """A value left float range: a closed form, evaluation, norm, pairing or diagonal
+    map overflowed, or an integrand produced NaN or infinity at a quadrature node."""
 
 
 class ConvergenceError(BCTransformsError, RuntimeError):

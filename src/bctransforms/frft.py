@@ -32,7 +32,7 @@ import numpy as np
 from .bicomplex import (
     Bicomplex,
     ONE,
-    _require_finite,
+    _fails_closed,
     as_bicomplex,
     conj_star,
     exp as bc_exp,
@@ -137,11 +137,11 @@ def _exponent(S: Bicomplex, theta: Bicomplex, x, Y) -> Bicomplex:
     return -(S * (D * D))
 
 
+@_fails_closed
 def frft_kernel(sigma: float, theta: ThetaParam, x, y) -> Bicomplex:
     """Gaussian rotation kernel at real points ``x``, ``y``."""
     th, pref, S = _rotation(sigma, theta.theta)
-    K = (normalization_c(0, sigma) * pref) * bc_exp(_exponent(S, th, x, y))
-    return _require_finite(K, "frft_kernel is outside float range")
+    return (normalization_c(0, sigma) * pref) * bc_exp(_exponent(S, th, x, y))
 
 
 def frft_coefficients(psi: HermiteCoeffVector, theta: ThetaParam) -> HermiteCoeffVector:
@@ -209,6 +209,7 @@ def _mehler_guard(theta: Bicomplex) -> Bicomplex:
     return th
 
 
+@_fails_closed
 def mehler_closed(sigma: float, theta, x, y) -> Bicomplex:
     """Closed Mehler sum (1-theta**2)**(-1/2) exp((-sigma theta**2 (x**2+y**2)
     + 2 sigma theta x y) / (1-theta**2)) at real points.
@@ -216,10 +217,10 @@ def mehler_closed(sigma: float, theta, x, y) -> Bicomplex:
     The exponent is the rotation exponent -S (x - theta y)**2 plus sigma x**2.
     """
     th, pref, S = _rotation(sigma, theta, _mehler_guard)
-    K = pref * bc_exp(_exponent(S, th, x, y) + sigma * x * x)
-    return _require_finite(K, "mehler_closed is outside float range")
+    return pref * bc_exp(_exponent(S, th, x, y) + sigma * x * x)
 
 
+@_fails_closed
 def mehler_series(sigma: float, theta, x, y, n_terms: int = 60) -> Bicomplex:
     """Partial Mehler sum sum_n theta**n psi_n(x) psi_n(y); ``y`` may be
     bicomplex.  A sum outside float range raises NonFiniteError."""
@@ -229,11 +230,10 @@ def mehler_series(sigma: float, theta, x, y, n_terms: int = 60) -> Bicomplex:
     acc = power = ONE
     ladders = zip(_ladder(n_terms - 1, sigma, x), _ladder(n_terms - 1, sigma, y))
     next(ladders)  # the n = 0 term is the ONE already in acc
-    with np.errstate(all="ignore"):
-        for px, py in ladders:
-            power = power * th
-            acc = acc + power * (px * py)
-    return _require_finite(acc, "Mehler series is outside float range")
+    for px, py in ladders:
+        power = power * th
+        acc = acc + power * (px * py)
+    return acc
 
 
 def mehler_bilinear_bc(sigma: float, theta, Z: Bicomplex, y) -> Bicomplex:
@@ -261,6 +261,7 @@ def ck_frft_kernel(sigma: float, theta: ThetaParam, x, Z: Bicomplex) -> Bicomple
     return frft_kernel(sigma, theta, x, as_bicomplex(Z))
 
 
+@_fails_closed
 def gaussian_integral_closed(gamma: float, a: complex, b: complex, c: complex, d: complex) -> complex:
     """Closed planar Gaussian integral
     integral exp(-gamma |zeta|**2 + a zeta**2 + b conj(zeta)**2 + c zeta
@@ -268,16 +269,15 @@ def gaussian_integral_closed(gamma: float, a: complex, b: complex, c: complex, d
     = pi / sqrt(gamma**2 - 4ab) * exp((a d**2 + b c**2 + gamma c d)
                                       / (gamma**2 - 4ab)).
 
-    Convergence requires |Re(a + b)| < gamma; outside that (NaN included) the
-    quadratic form is not negative definite and DomainError is raised.  The
-    square root is the principal branch.  A value outside float range (an
-    overflowing exponent, or NaN/inf in the arguments) raises NonFiniteError.
+    Convergence requires Re(a + b)**2 + Im(a - b)**2 < gamma**2, where the real quadratic
+    form is negative definite; outside that (NaN included) DomainError is raised.  The
+    square root is the principal branch; a and b enter in units of gamma.  A value outside
+    float range (an overflowing exponent, or NaN/inf in the arguments) raises NonFiniteError.
     """
     _require_positive("gamma", gamma)
     a, b, c, d = complex(a), complex(b), complex(c), complex(d)
-    if not abs((a + b).real) < gamma:
-        raise DomainError("requires |Re(a+b)| < gamma")
-    disc = gamma * gamma - 4.0 * a * b
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = complex(math.pi / np.sqrt(disc) * np.exp((a * d * d + b * c * c + gamma * c * d) / disc))
-    return _require_finite(value, "closed Gaussian integral is outside float range")
+    if not math.hypot((a + b).real, (a - b).imag) < gamma:
+        raise DomainError("requires Re(a+b)**2 + Im(a-b)**2 < gamma**2")
+    A, B = a / gamma, b / gamma
+    disc = np.complex128(1.0 - 4.0 * A * B)  # numpy complex: a zero gives inf/NaN, not ZeroDivisionError
+    return complex(math.pi / (gamma * np.sqrt(disc)) * np.exp((A * d * d + B * c * c + c * d) / (gamma * disc)))

@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .bicomplex import Bicomplex, ONE, _require_finite, as_bicomplex, conj_star, exp as bc_exp
+from .bicomplex import Bicomplex, ONE, _fails_closed, _require_finite, as_bicomplex, conj_star, exp as bc_exp
 from .errors import NonFiniteError, _require_positive
 
 __all__ = [
@@ -82,12 +82,11 @@ def _ladder(n: int, sigma: float, x):
         yield p
 
 
+@_fails_closed
 def hermite_sigma(n: int, sigma: float, x):
     """Evaluate H_n = psi_n / r_n at ``x`` (scalar or ndarray); a value
     outside float range raises NonFiniteError."""
-    with np.errstate(all="ignore"):
-        h = psi_n(n, sigma, x) / float(_scale(n, 2.0 * sigma)[-1])
-    return _require_finite(h, f"H_{n} at sigma={sigma} is outside float range")
+    return psi_n(n, sigma, x) / float(_scale(n, 2.0 * sigma)[-1])
 
 
 def hermite_sigma_bc(n: int, sigma: float, Z: Bicomplex) -> Bicomplex:
@@ -117,6 +116,7 @@ def psi_values(n_max: int, sigma: float, x) -> list:
     return values
 
 
+@_fails_closed
 def generating_G(sigma: float, nu: float, x, Z: Bicomplex) -> Bicomplex:
     """Closed form exp(-(nu/4) (Z*)**2 + sqrt(sigma nu) x Z*) of the pairing series.
 
@@ -126,9 +126,10 @@ def generating_G(sigma: float, nu: float, x, Z: Bicomplex) -> Bicomplex:
     _require_positive("nu", nu)
     Zs = conj_star(as_bicomplex(Z))
     exponent = (-0.25 * nu) * (Zs * Zs) + (math.sqrt(sigma * nu) * x) * Zs
-    return _require_finite(bc_exp(exponent), "generating_G is outside float range")
+    return bc_exp(exponent)
 
 
+@_fails_closed
 def generating_series(sigma: float, nu: float, x, Z: Bicomplex, n_terms: int = 60) -> Bicomplex:
     """Partial sum of the generating series; the oracle for :func:`generating_G`.
 
@@ -143,8 +144,7 @@ def generating_series(sigma: float, nu: float, x, Z: Bicomplex, n_terms: int = 6
     terms = zip(_ladder(n_terms - 1, sigma, x), _scale(n_terms - 1, 2.0 / nu).tolist())
     acc = as_bicomplex(next(terms)[0])  # r_0 = 1
     power = ONE
-    with np.errstate(all="ignore"):
-        for p, r in terms:
-            power = power * Zs
-            acc = acc + (power * p) * r
-    return _require_finite(acc, "generating series is outside float range")
+    for p, r in terms:
+        power = power * Zs
+        acc = acc + (power * p) * r
+    return acc

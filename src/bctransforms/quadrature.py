@@ -30,8 +30,8 @@ from typing import Callable
 
 import numpy as np
 
-from .bicomplex import Bicomplex, _require_finite, as_bicomplex
-from .errors import ConvergenceError, _require_positive
+from .bicomplex import Bicomplex, _fails_closed, _require_finite, as_bicomplex
+from .errors import ConvergenceError, DomainError, _require_positive
 from .hermite import _ladder
 
 __all__ = [
@@ -195,7 +195,7 @@ def integrate_bicomplex(
     """
     _require_positive("nu", nu)
     if not abs(rule.gamma - nu / 2.0) <= 1e-12 * max(1.0, abs(nu)):
-        raise ValueError(f"rule gamma {rule.gamma} does not match nu/2 = {nu / 2.0}")
+        raise DomainError(f"rule gamma {rule.gamma} does not match nu/2 = {nu / 2.0}")
     if not vectorized:
 
         def slice_at(alpha: complex) -> Bicomplex:
@@ -221,6 +221,7 @@ def integrate_bicomplex(
     return 0.25 * Bicomplex.from_channels(acc_a, acc_b)
 
 
+@_fails_closed
 def normalization_c(d, alpha: float) -> float:
     """Normalization constants (alpha/pi)**(d/2) for d in {0, 1, 2} or "BC".
 
@@ -235,5 +236,5 @@ def normalization_c(d, alpha: float) -> float:
     if d == 1:
         return ratio
     if d == 2 or d == "BC":
-        return _require_finite(ratio * ratio, f"normalization constant at alpha={alpha} is outside float range")
+        return ratio * ratio
     raise ValueError(f"unsupported dimension tag {d!r}")

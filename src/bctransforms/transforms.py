@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bicomplex import Bicomplex, _require_finite, as_bicomplex, conj_star, exp as bc_exp
+from .bicomplex import Bicomplex, _fails_closed, as_bicomplex, conj_star, exp as bc_exp
 from .bargmann import HermiteCoeffVector, MonomialCoeffVector
 from .errors import _require_positive
 from .hermite import _scale
@@ -57,15 +57,16 @@ __all__ = [
 INVERSE_ORDER = 80
 
 
+@_fails_closed
 def sbt_kernel_C(sigma: float, gamma: float, x: float, z: complex) -> complex:
     """Classical Gaussian kernel c_0 exp(-sigma (x - sqrt(gamma/(2 sigma)) z)**2)."""
     _require_positive("sigma", sigma)
     _require_positive("gamma", gamma)
     shift = math.sqrt(gamma / (2.0 * sigma))
-    K = normalization_c(0, sigma) * np.exp(-sigma * (x - shift * z) ** 2)
-    return _require_finite(K, "sbt_kernel_C is outside float range")
+    return normalization_c(0, sigma) * np.exp(-sigma * (x - shift * z) ** 2)
 
 
+@_fails_closed
 def sbt_kernel_BC(sigma: float, nu: float, x: float, Z: Bicomplex) -> Bicomplex:
     """Bicomplex kernel c_0 exp(-sigma (x - sqrt(nu/(4 sigma)) Z)**2).
 
@@ -75,16 +76,17 @@ def sbt_kernel_BC(sigma: float, nu: float, x: float, Z: Bicomplex) -> Bicomplex:
     _require_positive("nu", nu)
     shift = math.sqrt(nu / (4.0 * sigma))
     D = x - shift * as_bicomplex(Z)
-    K = normalization_c(0, sigma) * bc_exp(-sigma * (D * D))
-    return _require_finite(K, "sbt_kernel_BC is outside float range")
+    return normalization_c(0, sigma) * bc_exp(-sigma * (D * D))
 
 
+@_fails_closed
 def sbt_forward(phi: HermiteCoeffVector, nu: float) -> MonomialCoeffVector:
     """Diagonal coefficient map c_n -> c_n (nu**n / 2**n n!)**(1/2)."""
     _require_positive("nu", nu)
     return MonomialCoeffVector(nu, phi.coeffs * _scale(phi.degree, 2.0 / nu))
 
 
+@_fails_closed
 def sbt_inverse_coeff(f: MonomialCoeffVector, sigma: float) -> HermiteCoeffVector:
     """Inverse diagonal map A_n -> A_n (2**n n! / nu**n)**(1/2)."""
     return HermiteCoeffVector(sigma, f.coeffs / _scale(f.degree, 2.0 / f.nu))

@@ -205,6 +205,19 @@ class TestArithmetic:
         Z = rand_bc(rng) + Bicomplex(3 + 0j, 0j)
         assert_bc_close(Z**-2, bt.inverse(Z) ** 2, tol=1e-14)
 
+    @pytest.mark.parametrize("power", [lambda Z: bt.pow(Z, 3), lambda Z: Z**3], ids=["pow", "dunder"])
+    def test_pow_overflows_to_inf_like_mul(self, power):
+        # Python's complex power raises OverflowError here; a ring primitive
+        # propagates inf/NaN the way numpy (and the product) does
+        Z = Bicomplex(1e200, 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            P = power(Z)
+            want = np.power(np.complex128(1e200), 3)
+        assert not np.isfinite(P.alpha) and not np.isfinite(P.beta)
+        for channel in (P.alpha, P.beta):
+            assert np.array_equal(channel, want, equal_nan=True)
+        assert math.isinf(bt.mul(Z, bt.mul(Z, Z)).alpha.real)
+
     def test_pow_contract_rejects_negative(self):
         with pytest.raises(ValueError):
             bt.pow(bt.ONE, -1)
@@ -279,6 +292,14 @@ class TestNormAndNullCone:
         assert_allclose(bt.norm(Bicomplex.from_reals(x, x, x, x)), 2.0 * x, rtol=1e-15)
         arr = Bicomplex(np.array([x + 0j, 3.0 + 0j]), np.array([0j, 4.0 + 0j]))
         assert_allclose(bt.norm(arr), [x, 5.0], rtol=1e-15)
+
+    def test_norm_near_float_maximum_stays_finite(self):
+        # hypot(|alpha|, |beta|) is 2e308 here; the norm itself is representable
+        true = 1.4142135623730951e308
+        assert_allclose(bt.norm(Bicomplex(1e308, 1e308)), true, rtol=1e-15)
+        arr = Bicomplex(np.array([1e308 + 0j, 3.0 + 0j]), np.array([1e308 + 0j, 4.0 + 0j]))
+        with np.errstate(all="raise"):
+            assert_allclose(bt.norm(arr), [true, 5.0], rtol=1e-15)
 
     def test_null_cone_members(self):
         assert bt.is_null_cone(bt.E_PLUS)

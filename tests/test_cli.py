@@ -403,6 +403,16 @@ def test_non_finite_theta_fails_closed(kind, call, bad, capsys, tmp_path):
     assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+def test_overflowing_kernel_exits_2_without_warning(capsys):
+    # exp(900) overflows; the error comes before any numpy warning could
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["kernel", "--type", "KBC", "--Z", "30,0,0,0", "--W", "30,0,0,0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: NonFiniteError: "), err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "bctransforms", "verify", "--suite", "algebra"],

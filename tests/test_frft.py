@@ -307,21 +307,28 @@ class TestGaussianIntegral:
             )
             assert_allclose(complex(quad.z1), closed, rtol=1e-10)
 
+    @pytest.mark.parametrize("gamma", [1e-300, 1e300])
+    def test_extreme_gamma_keeps_its_finite_value(self, gamma):
+        # gamma**2 leaves float range at both ends; pi / gamma does not
+        assert_allclose(gaussian_integral_closed(gamma, 0.0, 0.0, 0.0, 0.0), math.pi / gamma, rtol=1e-15)
+
     def test_domain_error(self):
         with pytest.raises(DomainError):
             gaussian_integral_closed(1.0, 0.6, 0.5, 0.0, 0.0)
+        # Re(a+b) = 0, but the real form -(u**2 + v**2) - 2.4 u v grows along u = -v
+        with pytest.raises(DomainError):
+            gaussian_integral_closed(1.0, 0.6j, -0.6j, 0.0, 0.0)
         with pytest.raises(ValueError):
             gaussian_integral_closed(0.0, 0.0, 0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
     @pytest.mark.parametrize("slot", range(4))
     def test_non_finite_argument_fails_closed(self, slot, bad):
-        # a non-finite real part of a or b fails the domain guard; every other
-        # non-finite input must still raise rather than return nan/inf
+        # a non-finite a or b fails the domain guard; every other non-finite
+        # input must still raise rather than return nan/inf
         args = [0.1 + 0.05j, -0.08j, 0.3, 0.2 - 0.4j]
         args[slot] = bad
-        guarded = slot < 2 and not math.isfinite(complex(bad).real)
-        with pytest.raises(DomainError if guarded else NonFiniteError):
+        with pytest.raises(DomainError if slot < 2 else NonFiniteError):
             gaussian_integral_closed(1.2, *args)
 
     def test_overflowing_exponent_fails_closed(self):

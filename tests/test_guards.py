@@ -1,18 +1,24 @@
 """Weight-parameter guards and fail-closed closed-form kernels, across modules."""
 
 import math
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bctransforms import Bicomplex
 from bctransforms.bargmann import (
     HermiteCoeffVector,
     MonomialCoeffVector,
+    eval_monomial_series,
+    inner_H2nu,
+    inner_L2sigma,
     kernel_K_BC,
     kernel_K_C,
     monomial_norm_sq,
 )
-from bctransforms.errors import DomainError, NonFiniteError
+from bctransforms.errors import BCTransformsError, DomainError, NonFiniteError
 from bctransforms.frft import (
     ThetaParam,
     ck_frft_kernel,
@@ -23,10 +29,18 @@ from bctransforms.frft import (
     mehler_closed,
     mehler_series,
 )
-from bctransforms.hermite import generating_G, generating_series, hermite_norm_sq, hermite_sigma, psi_values
+from bctransforms.hermite import (
+    generating_G,
+    generating_series,
+    hermite_norm_sq,
+    hermite_sigma,
+    hermite_sigma_bc,
+    psi_values,
+)
 from bctransforms.quadrature import gauss_hermite, integrate_bicomplex, normalization_c
 from bctransforms.transforms import (
     sbt_forward,
+    sbt_inverse_coeff,
     sbt_inverse_integral,
     sbt_kernel_BC,
     sbt_kernel_C,
@@ -81,21 +95,27 @@ def test_monomial_norm_underflow_raises():
 BIG = Bicomplex(30.0, 0.0)
 TORUS = THETA.theta
 
-# each argument drives the exponent's real part past ~709
+# each argument drives the exponent's real part past ~709, or a diagonal map's
+# coefficients past the float maximum
 OVERFLOWING_KERNELS = {
     "kernel_K_C": lambda: kernel_K_C(2.0, 30.0, 30.0),
     "kernel_K_BC": lambda: kernel_K_BC(2.0, BIG, BIG),
     "sbt_kernel_C": lambda: sbt_kernel_C(1.0, 2.0, 0.0, 30j),
+    "sbt_kernel_C.square_z": lambda: sbt_kernel_C(1.0, 2.0, 0.0, 1e200j),
+    "sbt_kernel_C.square_x": lambda: sbt_kernel_C(1.0, 2.0, 1e200, 0j),
     "sbt_kernel_BC": lambda: sbt_kernel_BC(1.0, 2.0, 0.0, Bicomplex(60j, 0.0)),
     "generating_G": lambda: generating_G(1.0, 2.0, 0.0, Bicomplex(60j, 0.0)),
     "frft_kernel": lambda: frft_kernel(1.0, THETA, 0.0, 40.0),
     "ck_frft_kernel": lambda: ck_frft_kernel(1.0, THETA, 0.0, Bicomplex(40.0, 0.0)),
     "mehler_closed": lambda: mehler_closed(1.0, TORUS, 0.0, 40.0),
     "mehler_bilinear_bc": lambda: mehler_bilinear_bc(1.0, TORUS, Bicomplex(40.0, 0.0), 0.0),
+    "sbt_inverse_coeff": lambda: sbt_inverse_coeff(MonomialCoeffVector(1e-300, [1e308, 1e308]), 1.0),
+    "sbt_forward": lambda: sbt_forward(HermiteCoeffVector(1.0, [1e308, 1e308]), 1e3),
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# run with -W error::RuntimeWarning (as CI does), this also proves that no numpy
+# warning comes before the error
 @pytest.mark.parametrize("name", list(OVERFLOWING_KERNELS))
 def test_closed_form_kernel_fails_closed(name):
     with pytest.raises(NonFiniteError, match="outside float range"):
@@ -122,3 +142,94 @@ def test_series_and_constants_fail_closed(name):
 def test_mehler_series_needs_a_term(n_terms):
     with pytest.raises(ValueError, match="need at least one term"):
         mehler_series(1.0, 0.5, 0.1, 0.2, n_terms=n_terms)
+
+
+# wide-range finite inputs for the property test below
+_REAL = st.floats(-1e300, 1e300)
+_COMPLEX = st.builds(complex, _REAL, _REAL)
+_BC = st.builds(Bicomplex, _COMPLEX, _COMPLEX)
+_WEIGHT = st.floats(1e-300, 1e300)
+# channel phases at least 0.1 from 0 and pi, clear of the excluded set {+1, -1, +ij, -ij}
+_PHASE = st.floats(0.1, math.pi - 0.1) | st.floats(math.pi + 0.1, 2 * math.pi - 0.1)
+_THETA = st.builds(ThetaParam.from_phases, _PHASE, _PHASE)
+_DEGREE = st.integers(0, 40)
+_TERMS = st.integers(1, 60)
+_ENTRIES = st.lists(_BC, min_size=1, max_size=6)
+
+
+def _pair(cls, d):
+    """Two coefficient vectors of ``cls`` that share one weight parameter."""
+    w = d.draw(_WEIGHT)
+    return cls(w, d.draw(_ENTRIES)), cls(w, d.draw(_ENTRIES))
+
+
+# every function that fails closed through one decorator, and the ones that
+# only delegate to such a function; each entry draws its own arguments
+FAILS_CLOSED = {
+    "kernel_K_C": lambda d: kernel_K_C(d.draw(_WEIGHT), d.draw(_COMPLEX), d.draw(_COMPLEX)),
+    "kernel_K_BC": lambda d: kernel_K_BC(d.draw(_WEIGHT), d.draw(_BC), d.draw(_BC)),
+    "sbt_kernel_C": lambda d: sbt_kernel_C(d.draw(_WEIGHT), d.draw(_WEIGHT), d.draw(_REAL), d.draw(_COMPLEX)),
+    "sbt_kernel_BC": lambda d: sbt_kernel_BC(d.draw(_WEIGHT), d.draw(_WEIGHT), d.draw(_REAL), d.draw(_BC)),
+    "frft_kernel": lambda d: frft_kernel(d.draw(_WEIGHT), d.draw(_THETA), d.draw(_REAL), d.draw(_REAL)),
+    "ck_frft_kernel": lambda d: ck_frft_kernel(d.draw(_WEIGHT), d.draw(_THETA), d.draw(_REAL), d.draw(_BC)),
+    "mehler_closed": lambda d: mehler_closed(d.draw(_WEIGHT), d.draw(_THETA).theta, d.draw(_REAL), d.draw(_REAL)),
+    "mehler_bilinear_bc": lambda d: mehler_bilinear_bc(
+        d.draw(_WEIGHT), d.draw(_THETA).theta, d.draw(_BC), d.draw(_REAL)
+    ),
+    "mehler_series": lambda d: mehler_series(
+        d.draw(_WEIGHT), d.draw(_THETA).theta, d.draw(_REAL), d.draw(_REAL), d.draw(_TERMS)
+    ),
+    "mehler_bilinear_series": lambda d: mehler_bilinear_series(
+        d.draw(_WEIGHT), d.draw(_THETA).theta, d.draw(_BC), d.draw(_REAL), d.draw(_TERMS)
+    ),
+    "generating_G": lambda d: generating_G(d.draw(_WEIGHT), d.draw(_WEIGHT), d.draw(_REAL), d.draw(_BC)),
+    "generating_series": lambda d: generating_series(
+        d.draw(_WEIGHT), d.draw(_WEIGHT), d.draw(_REAL), d.draw(_BC), d.draw(_TERMS)
+    ),
+    "gaussian_integral_closed": lambda d: gaussian_integral_closed(
+        d.draw(_WEIGHT), *d.draw(st.lists(_COMPLEX, min_size=4, max_size=4))
+    ),
+    "hermite_sigma": lambda d: hermite_sigma(d.draw(_DEGREE), d.draw(_WEIGHT), d.draw(_REAL)),
+    "hermite_sigma_bc": lambda d: hermite_sigma_bc(d.draw(_DEGREE), d.draw(_WEIGHT), d.draw(_BC)),
+    "normalization_c": lambda d: normalization_c(d.draw(st.sampled_from([0, 1, 2, "BC"])), d.draw(_WEIGHT)),
+    "HermiteCoeffVector.evaluate": lambda d: HermiteCoeffVector(d.draw(_WEIGHT), d.draw(_ENTRIES)).evaluate(
+        d.draw(_REAL)
+    ),
+    "MonomialCoeffVector.evaluate": lambda d: MonomialCoeffVector(d.draw(_WEIGHT), d.draw(_ENTRIES)).evaluate(
+        d.draw(_BC)
+    ),
+    "eval_monomial_series": lambda d: eval_monomial_series(
+        MonomialCoeffVector(d.draw(_WEIGHT), d.draw(_ENTRIES)), d.draw(_BC)
+    ),
+    "HermiteCoeffVector.norm_sq": lambda d: HermiteCoeffVector(d.draw(_WEIGHT), d.draw(_ENTRIES)).norm_sq(),
+    "MonomialCoeffVector.norm_sq": lambda d: MonomialCoeffVector(d.draw(_WEIGHT), d.draw(_ENTRIES)).norm_sq(),
+    "inner_L2sigma": lambda d: inner_L2sigma(*_pair(HermiteCoeffVector, d)),
+    "inner_H2nu": lambda d: inner_H2nu(*_pair(MonomialCoeffVector, d)),
+    "sbt_forward": lambda d: sbt_forward(
+        HermiteCoeffVector(d.draw(_WEIGHT), d.draw(_ENTRIES)), d.draw(_WEIGHT)
+    ),
+    "sbt_inverse_coeff": lambda d: sbt_inverse_coeff(
+        MonomialCoeffVector(d.draw(_WEIGHT), d.draw(_ENTRIES)), d.draw(_WEIGHT)
+    ),
+}
+
+
+def _all_finite(value) -> bool:
+    value = getattr(value, "coeffs", value)
+    parts = (value.alpha, value.beta) if isinstance(value, Bicomplex) else (value,)
+    return all(np.all(np.isfinite(p)) for p in parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name", list(FAILS_CLOSED))
+def test_fails_closed_on_wide_range_inputs(name, data):
+    # a finite value or a typed error; never a bare OverflowError,
+    # ZeroDivisionError or numpy ValueError, and never a numpy warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            value = FAILS_CLOSED[name](data)
+        except BCTransformsError:
+            return
+    assert _all_finite(value)

@@ -18,7 +18,7 @@ from bctransforms import (
 )
 from bctransforms import bargmann
 from bctransforms import bicomplex as bc
-from bctransforms.errors import NonFiniteError
+from bctransforms.errors import DomainError, NonFiniteError
 from bctransforms.quadrature import DEFAULT_BC_ORDER, DEFAULT_ORDER, QuadratureRule
 
 
@@ -184,8 +184,9 @@ class TestBicomplexIntegrals:
 
     def test_gamma_mismatch_rejected(self):
         rule = gauss_hermite(8, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             integrate_bicomplex(lambda Z: 1.0, 3.0, rule)
+        assert type(info.value) is DomainError
 
 
 _Z0 = Bicomplex(0.3 + 0.2j, -0.1 + 0.4j)
