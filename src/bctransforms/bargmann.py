@@ -213,7 +213,7 @@ def inner_L2sigma(
     ge = g.evaluate if g_vec else g
     rule = gauss_hermite(order, sig)
     val = integrate_real(
-        lambda x: as_bicomplex(fe(x)) * conj_star(as_bicomplex(ge(x))),
+        lambda x: bc_inner(as_bicomplex(fe(x)), as_bicomplex(ge(x))),
         rule,
         vectorized=vectorized,
     )
@@ -250,7 +250,7 @@ def inner_H2nu(
     ge = g.evaluate if g_vec else g
     rule = gauss_hermite(order, nv / 2.0)
     val = integrate_bicomplex(
-        lambda Z: as_bicomplex(fe(Z)) * conj_star(as_bicomplex(ge(Z))),
+        lambda Z: bc_inner(as_bicomplex(fe(Z)), as_bicomplex(ge(Z))),
         nv,
         rule,
         vectorized=vectorized,

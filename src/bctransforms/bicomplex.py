@@ -114,7 +114,9 @@ class Bicomplex:
     Parameters
     ----------
     z1, z2 : complex scalars or broadcast-compatible complex ndarrays
-        The two complex components in the canonical (1, j) basis.
+        The two complex components in the canonical (1, j) basis.  Finite
+        components whose channel z1 -+ i z2 leaves float range raise
+        NonFiniteError.
     """
 
     __slots__ = ("alpha", "beta")
@@ -124,8 +126,21 @@ class Bicomplex:
     __array_ufunc__ = None
 
     def __init__(self, z1: Scalar | np.ndarray = 0j, z2: Scalar | np.ndarray = 0j):
-        object.__setattr__(self, "alpha", z1 - 1j * z2)
-        object.__setattr__(self, "beta", z1 + 1j * z2)
+        # non-finite components propagate, as in the ring primitives
+        if isinstance(z1, (np.ndarray, np.generic)) or isinstance(z2, (np.ndarray, np.generic)):
+            try:  # arithmetic on inf or NaN never raises the overflow flag
+                with np.errstate(all="ignore", over="raise"):
+                    alpha, beta = z1 - 1j * z2, z1 + 1j * z2
+                overflow = False
+            except FloatingPointError:
+                overflow = True
+        else:  # Python's complex arithmetic overflows to inf without a warning
+            alpha, beta = z1 - 1j * z2, z1 + 1j * z2
+            overflow = not (cmath.isfinite(alpha) and cmath.isfinite(beta)) and cmath.isfinite(z1) and cmath.isfinite(z2)
+        if overflow:
+            raise NonFiniteError("components give a channel outside float range")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
     def __setattr__(self, name, value):
         raise AttributeError("Bicomplex values are immutable")

@@ -36,7 +36,7 @@ from .frft import (
 )
 from .hermite import generating_G
 from .transforms import sbt_forward, sbt_inverse_coeff, sbt_kernel_BC, sbt_kernel_C
-from .verification import SUITE_NAMES, _worst, run_suite
+from .verification import SUITE_NAMES, run_suite
 
 __all__ = ["main"]
 
@@ -182,48 +182,39 @@ def _cmd_frft(args) -> int:
     return 0
 
 
+#: each kernel type: its function and the flags of its arguments, in call order
+_KERNELS = {
+    "KC": (kernel_K_C, ("gamma", "z", "w")),
+    "KBC": (kernel_K_BC, ("nu", "Z", "W")),
+    "SBT": (sbt_kernel_BC, ("sigma", "nu", "x", "Z")),
+    "SBTC": (sbt_kernel_C, ("sigma", "gamma", "x", "z")),
+    "G": (generating_G, ("sigma", "nu", "x", "Z")),
+    "FRFT": (frft_kernel, ("sigma", "theta", "x", "y")),
+    "CK": (ck_frft_kernel, ("sigma", "theta", "x", "Z")),
+}
+
+
+def _kernel_arg(args, flag: str):
+    """The value of one kernel argument flag and its JSON echo."""
+    if flag in ("z", "w"):
+        z = complex(*_parse_floats(getattr(args, flag), 2, f"--{flag}"))
+        return z, [z.real, z.imag]
+    if flag in ("Z", "W"):
+        Z = Bicomplex.from_reals(*_parse_floats(getattr(args, flag), 4, f"--{flag}"))
+        return Z, Z.to_json()
+    if flag == "theta":
+        theta = _parse_theta(args)
+        if theta is None:
+            raise _ConfigError(f"kernel --type {args.type} needs --theta-phases or --theta")
+        return theta, theta.theta.to_json()
+    value = getattr(args, flag)
+    return value, value
+
+
 def _cmd_kernel(args) -> int:
-    kind = args.type
-    out: Bicomplex
-    meta: dict = {"type": kind}
-    if kind == "KC":
-        z = complex(*_parse_floats(args.z, 2, "--z"))
-        w = complex(*_parse_floats(args.w, 2, "--w"))
-        out = as_bicomplex(kernel_K_C(args.gamma, z, w))
-        meta.update(gamma=args.gamma, z=[z.real, z.imag], w=[w.real, w.imag])
-    elif kind == "KBC":
-        Z = Bicomplex.from_reals(*_parse_floats(args.Z, 4, "--Z"))
-        W = Bicomplex.from_reals(*_parse_floats(args.W, 4, "--W"))
-        out = kernel_K_BC(args.nu, Z, W)
-        meta.update(nu=args.nu, Z=Z.to_json(), W=W.to_json())
-    elif kind == "SBT":
-        Z = Bicomplex.from_reals(*_parse_floats(args.Z, 4, "--Z"))
-        out = sbt_kernel_BC(args.sigma, args.nu, args.x, Z)
-        meta.update(sigma=args.sigma, nu=args.nu, x=args.x, Z=Z.to_json())
-    elif kind == "SBTC":
-        z = complex(*_parse_floats(args.z, 2, "--z"))
-        out = as_bicomplex(sbt_kernel_C(args.sigma, args.gamma, args.x, z))
-        meta.update(sigma=args.sigma, gamma=args.gamma, x=args.x, z=[z.real, z.imag])
-    elif kind == "G":
-        Z = Bicomplex.from_reals(*_parse_floats(args.Z, 4, "--Z"))
-        out = generating_G(args.sigma, args.nu, args.x, Z)
-        meta.update(sigma=args.sigma, nu=args.nu, x=args.x, Z=Z.to_json())
-    elif kind == "FRFT":
-        theta = _parse_theta(args)
-        if theta is None:
-            raise _ConfigError("kernel --type FRFT needs --theta-phases or --theta")
-        out = frft_kernel(args.sigma, theta, args.x, args.y)
-        meta.update(sigma=args.sigma, x=args.x, y=args.y, theta=theta.theta.to_json())
-    elif kind == "CK":
-        theta = _parse_theta(args)
-        if theta is None:
-            raise _ConfigError("kernel --type CK needs --theta-phases or --theta")
-        Z = Bicomplex.from_reals(*_parse_floats(args.Z, 4, "--Z"))
-        out = ck_frft_kernel(args.sigma, theta, args.x, Z)
-        meta.update(sigma=args.sigma, x=args.x, theta=theta.theta.to_json(), Z=Z.to_json())
-    else:  # pragma: no cover - argparse restricts choices
-        raise _ConfigError(f"unknown kernel type {kind!r}")
-    meta["value"] = out.to_json()
+    fn, flags = _KERNELS[args.type]
+    values, echoes = zip(*(_kernel_arg(args, flag) for flag in flags))
+    meta = dict(zip(flags, echoes), type=args.type, value=as_bicomplex(fn(*values)).to_json())
     _emit(json.dumps(meta, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
@@ -243,15 +234,14 @@ def _cmd_mehler(args) -> int:
     if theta is None:
         raise _ConfigError("mehler needs --theta or --theta-phases")
     grid = _parse_grid(args.grid)
+    x, y = grid[:, None], grid[None, :]
+    closed = mehler_closed(args.sigma, theta, x, y)
+    series = mehler_series(args.sigma, theta, x, y, n_terms=args.terms)
+    errors = bc_norm(closed - series)
+    worst = float(np.max(errors))  # np.max keeps a NaN
     lines = ["x,y,error"]
-    worst = 0.0
-    for x in grid:
-        for y in grid:
-            closed = mehler_closed(args.sigma, theta, float(x), float(y))
-            series = mehler_series(args.sigma, theta, float(x), float(y), n_terms=args.terms)
-            err = bc_norm(closed - series)
-            worst = _worst(worst, err)
-            lines.append(f"{float(x)!r},{float(y)!r},{err!r}")
+    points = grid.tolist()
+    lines += [f"{a!r},{b!r},{e!r}" for a, row in zip(points, errors.tolist()) for b, e in zip(points, row)]
     _emit("\n".join(lines) + "\n", args.out)
     print(f"max closed-vs-series error {worst:.3e} over {len(grid) ** 2} points", file=sys.stderr)
     return 0
@@ -300,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fr.set_defaults(fn=_cmd_frft)
 
     p_k = subs.add_parser("kernel", help="evaluate a closed-form kernel")
-    p_k.add_argument("--type", required=True, choices=["KC", "KBC", "SBT", "SBTC", "G", "FRFT", "CK"])
+    p_k.add_argument("--type", required=True, choices=list(_KERNELS))
     p_k.add_argument("--sigma", type=float, default=1.0)
     p_k.add_argument("--nu", type=float, default=2.0)
     p_k.add_argument("--gamma", type=float, default=1.0)

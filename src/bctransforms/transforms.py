@@ -9,12 +9,15 @@ form is retained as an independent oracle:
     inverse:  c_T * integral exp(-nu |Z|**2 - (nu/4)(Z*)**2
                                + sqrt(sigma nu) x Z*) f(Z) dlambda(Z)
 
-Both integral forms are implemented with rules whose Gaussian weight matches
-the true decay of the integrand and the residual exponential folded in.  The
-inverse integral factorizes over the idempotent channels for holomorphic
-``f`` (the only inputs for which the inversion theorem speaks), which is what
-the default "split" method computes; "tensor" runs the literal
-four-real-dimensional quadrature instead and is kept as a cross-check.
+Both integral forms integrate the closed-form kernels they are defined by:
+the rule's Gaussian weight is the kernel's own Gaussian factor, and the rest
+of the kernel is ``generating_G`` (G(x, Z*) forward, G(x, Z) inverse); the
+slice transform integrates ``kernel_K_BC``.  A kernel outside float range
+therefore raises through the kernel's own check.  The inverse integral
+factorizes over the idempotent channels for holomorphic ``f`` (the only
+inputs for which the inversion theorem speaks), which is what the default
+"split" method computes; "tensor" runs the literal four-real-dimensional
+quadrature instead and is kept as a cross-check.
 
 The restriction transform ``s_transform`` rebuilds a holomorphic function on
 the ring from its values on the complex slice ``z + j 0``.
@@ -28,9 +31,9 @@ from typing import Callable
 import numpy as np
 
 from .bicomplex import Bicomplex, _fails_closed, as_bicomplex, conj_star, exp as bc_exp
-from .bargmann import HermiteCoeffVector, MonomialCoeffVector
+from .bargmann import HermiteCoeffVector, MonomialCoeffVector, kernel_K_BC
 from .errors import _require_positive
-from .hermite import _scale
+from .hermite import _scale, generating_G
 from .quadrature import (
     DEFAULT_ORDER,
     gauss_hermite,
@@ -103,18 +106,16 @@ def sbt_forward_integral(
 ) -> Bicomplex:
     """Forward transform of a line function by Gaussian-kernel quadrature.
 
-    The kernel exp(-sigma (x - a Z)**2) is split as exp(-sigma x**2) times a
-    residual of linear exponential growth; the rule carries gamma = sigma and
-    the residual is folded into the integrand.  ``phi`` is evaluated on the
-    whole node array unless ``vectorized=False``.
+    The kernel c_0 exp(-sigma (x - a Z)**2) equals c_0 exp(-sigma x**2)
+    generating_G(x, Z*); the rule carries the Gaussian factor (gamma = sigma)
+    and the integrand is G(x, Z*) phi(x).  ``phi`` is evaluated on the whole
+    node array unless ``vectorized=False``.
     """
-    Z = as_bicomplex(Z)
+    Zs = conj_star(as_bicomplex(Z))
     rule = gauss_hermite(order, sigma)
-    lin = math.sqrt(sigma * nu) * Z
-    const = (-0.25 * nu) * (Z * Z)
 
     def integrand(x):
-        return bc_exp(lin * x + const) * as_bicomplex(phi(x))
+        return generating_G(sigma, nu, x, Zs) * as_bicomplex(phi(x))
 
     val = integrate_real(integrand, rule, vectorized=vectorized)
     return normalization_c(0, sigma) * val
@@ -134,21 +135,20 @@ def sbt_inverse_integral(
     method="split" (default) exploits the channel factorization of the
     integral: a holomorphic function restricted to the slice z + j 0 carries
     both channel values, so each channel reduces to one planar integral with
-    weight exp(-(nu/2)|xi|**2) and the residual
-    exp(-(nu/4) conj(xi)**2 + sqrt(sigma nu) x conj(xi)) folded in.
+    weight exp(-(nu/2)|xi|**2) and the residual generating_G(x, xi).
 
-    method="tensor" evaluates the literal integral over the ring with the
-    same rule on every real coordinate; it costs order**4 evaluations and
-    exists to cross-check the split path.
+    method="tensor" evaluates the literal integral of generating_G(x, Z) f(Z)
+    over the ring with the same rule on every real coordinate; it costs
+    order**4 evaluations and exists to cross-check the split path.
     """
     _require_positive("sigma", sigma)
     _require_positive("nu", nu)
     rule = gauss_hermite(order, nu / 2.0)
-    root = math.sqrt(sigma * nu)
 
     if method == "split":
         def integrand(xi):
-            resid = np.exp(-0.25 * nu * np.conjugate(xi) ** 2 + root * x * np.conjugate(xi))
+            # both channels of G are equal on the slice, so one channel is computed
+            resid = generating_G(sigma, nu, x, Bicomplex.from_channels(xi, 0j)).alpha
             return resid * as_bicomplex(f(Bicomplex.from_complex(xi)))
 
         val = integrate_complex(integrand, rule, vectorized=True)
@@ -156,9 +156,7 @@ def sbt_inverse_integral(
 
     if method == "tensor":
         def integrand_bc(Z: Bicomplex) -> Bicomplex:
-            Zs = conj_star(Z)
-            resid = bc_exp((-0.25 * nu) * (Zs * Zs) + (root * x) * Zs)
-            return resid * as_bicomplex(f(Z))
+            return generating_G(sigma, nu, x, Z) * as_bicomplex(f(Z))
 
         val = integrate_bicomplex(integrand_bc, nu, rule, vectorized=True)
         return normalization_c("BC", nu) * val
@@ -176,17 +174,17 @@ def s_transform(
 ) -> Bicomplex:
     """Rebuild a holomorphic function on the ring from its slice values.
 
-    Computes c_1 integral F(xi) exp(+(nu/2) Z conj(xi) - (nu/2)|xi|**2)
-    dlambda(xi); on monomials xi**n it returns Z**n.  The plus sign in the
-    exponent is the convention under which that monomial identity holds (the
-    verification suite pins it numerically).
+    Computes c_1 integral kernel_K_BC(nu, Z, xi) F(xi) exp(-(nu/2)|xi|**2)
+    dlambda(xi), where kernel_K_BC(nu, Z, xi) = exp(+(nu/2) Z conj(xi)); on
+    monomials xi**n it returns Z**n.  The plus sign in the exponent is the
+    convention under which that monomial identity holds (the verification
+    suite pins it numerically).
     """
     Z = as_bicomplex(Z)
     rule = gauss_hermite(order, nu / 2.0)
-    half_nu = 0.5 * nu
 
     def integrand(xi):
-        return bc_exp((half_nu * Z) * np.conjugate(xi)) * as_bicomplex(F(xi))
+        return kernel_K_BC(nu, Z, xi) * as_bicomplex(F(xi))
 
     val = integrate_complex(integrand, rule, vectorized=vectorized)
-    return normalization_c(1, half_nu) * val
+    return normalization_c(1, nu / 2.0) * val

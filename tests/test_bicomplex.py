@@ -112,6 +112,29 @@ class TestConstruction:
         assert Bicomplex.from_channels(big, -big).z2 == big * 1j
         assert Bicomplex.from_channels(big, big).to_json() == [big, 0.0, 0.0, 0.0]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Bicomplex(1e308 + 1e308j, 1e308j),
+            lambda: Bicomplex(np.complex128(1e308 + 1e308j), 1e308j),
+            lambda: Bicomplex(np.array([0.5 + 0j, 1e308 + 1e308j]), np.array([0j, 1e308j])),
+            lambda: Bicomplex.from_json([[1e308, 0.0, 0.0, 1e308]]),
+            lambda: Bicomplex.from_json([1e308, 0.0, 0.0, 1e308]),
+        ],
+        ids=["scalar", "numpy-scalar", "array", "json-rows", "json-row"],
+    )
+    def test_finite_components_with_an_overflowing_channel_are_refused(self, build):
+        # alpha = z1 - i z2 leaves float range although every component is finite
+        with pytest.raises(NonFiniteError, match="outside float range"):
+            build()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_components_still_propagate(self):
+        assert Bicomplex(math.inf, 0).alpha == math.inf
+        Z = Bicomplex(np.array([math.inf + 0j, 0.5 + 0j]), np.array([0j, 0.25j]))
+        assert Z.alpha.tolist() == [math.inf, 0.75]
+
     def test_json_decodes_rows_to_array_value(self):
         Z = Bicomplex.from_json([[1.0, 2.0, 3.0, 4.0], [0.5, 0.0, -0.5, 0.25]])
         assert_allclose(Z.z1, [1 + 2j, 0.5])

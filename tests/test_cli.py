@@ -8,8 +8,22 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bctransforms import Bicomplex, ThetaParam, kernel_K_C, mehler_closed
-from bctransforms.cli import main
+from bctransforms import (
+    Bicomplex,
+    ThetaParam,
+    as_bicomplex,
+    ck_frft_kernel,
+    frft_kernel,
+    generating_G,
+    kernel_K_BC,
+    kernel_K_C,
+    mehler_closed,
+    mehler_series,
+    norm,
+    sbt_kernel_BC,
+    sbt_kernel_C,
+)
+from bctransforms.cli import _KERNELS, main
 
 from conftest import strict_json
 
@@ -260,6 +274,34 @@ class TestFrft:
         capsys.readouterr()
 
 
+# the library call of each kernel type on the library values ``a`` of the
+# flags, and per argument flag its command-line tokens, library value and JSON echo
+KERNEL_CALLS = {
+    "KC": lambda a: kernel_K_C(a["gamma"], a["z"], a["w"]),
+    "KBC": lambda a: kernel_K_BC(a["nu"], a["Z"], a["W"]),
+    "SBT": lambda a: sbt_kernel_BC(a["sigma"], a["nu"], a["x"], a["Z"]),
+    "SBTC": lambda a: sbt_kernel_C(a["sigma"], a["gamma"], a["x"], a["z"]),
+    "G": lambda a: generating_G(a["sigma"], a["nu"], a["x"], a["Z"]),
+    "FRFT": lambda a: frft_kernel(a["sigma"], a["theta"], a["x"], a["y"]),
+    "CK": lambda a: ck_frft_kernel(a["sigma"], a["theta"], a["x"], a["Z"]),
+}
+_Z = Bicomplex.from_reals(0.3, 0.1, 0.2, 0.5)
+_W = Bicomplex.from_reals(0.1, -0.2, 0.3, 0.4)
+_THETA = ThetaParam.from_phases(0.9, 1.7)
+KERNEL_FLAGS = {
+    "sigma": (["--sigma", "1.3"], 1.3, 1.3),
+    "nu": (["--nu", "1.7"], 1.7, 1.7),
+    "gamma": (["--gamma", "0.7"], 0.7, 0.7),
+    "x": (["--x", "0.4"], 0.4, 0.4),
+    "y": (["--y", "-0.3"], -0.3, -0.3),
+    "z": (["--z", "0.3,-0.1"], 0.3 - 0.1j, [0.3, -0.1]),
+    "w": (["--w", "0.2,0.5"], 0.2 + 0.5j, [0.2, 0.5]),
+    "Z": (["--Z", "0.3,0.1,0.2,0.5"], _Z, _Z.to_json()),
+    "W": (["--W", "0.1,-0.2,0.3,0.4"], _W, _W.to_json()),
+    "theta": (["--theta-phases", "0.9,1.7"], _THETA, _THETA.theta.to_json()),
+}
+
+
 class TestKernel:
     def test_classical_kernel(self, capsys):
         data = run_json(
@@ -310,6 +352,18 @@ class TestKernel:
         )
         assert_allclose(data["value"], [1.0, 0.0, 0.0, 0.0], atol=0.0)
 
+    @pytest.mark.parametrize("kind", list(_KERNELS))
+    def test_every_kernel_type_matches_its_library_call(self, capsys, kind):
+        flags = _KERNELS[kind][1]
+        argv = ["kernel", "--type", kind]
+        for flag in flags:
+            argv += KERNEL_FLAGS[flag][0]
+        data = run_json(capsys, argv)
+        want = KERNEL_CALLS[kind]({flag: value for flag, (_, value, _) in KERNEL_FLAGS.items()})
+        assert data.pop("type") == kind
+        assert data.pop("value") == as_bicomplex(want).to_json()
+        assert data == {flag: KERNEL_FLAGS[flag][2] for flag in flags}
+
     @pytest.mark.parametrize("kind", ["KBC", "SBT", "SBTC", "G", "CK", "KC"])
     def test_missing_point_flag_is_config_error(self, capsys, kind):
         argv = ["kernel", "--type", kind]
@@ -342,6 +396,22 @@ class TestMehler:
         errs = [float(r.split(",")[2]) for r in rows[1:]]
         assert max(errs) < 1e-10
         assert "max closed-vs-series error" in captured.err
+
+    @pytest.mark.parametrize(
+        "flag, text, theta",
+        [
+            ("--theta", "0.3,0.2,0.1,-0.1", Bicomplex.from_reals(0.3, 0.2, 0.1, -0.1)),
+            ("--theta-phases", "0.9,1.7", ThetaParam.from_phases(0.9, 1.7).theta),
+        ],
+    )
+    def test_rows_match_per_point_errors(self, capsys, flag, text, theta):
+        code = main(["mehler", flag, text, "--grid", "-1:1:0.5"])
+        rows = [[float(v) for v in r.split(",")] for r in capsys.readouterr().out.splitlines()[1:]]
+        assert code == 0
+        grid = [-1.0, -0.5, 0.0, 0.5, 1.0]
+        assert [r[:2] for r in rows] == [[x, y] for x in grid for y in grid]
+        want = [norm(mehler_closed(1.0, theta, x, y) - mehler_series(1.0, theta, x, y)) for x, y, _ in rows]
+        assert_allclose([r[2] for r in rows], want, rtol=0.0, atol=1e-14)
 
     def test_default_grid_with_dash(self, capsys):
         # the default "-2:2:0.5" spelled out on the command line must survive
@@ -408,6 +478,17 @@ def test_overflowing_kernel_exits_2_without_warning(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code = main(["kernel", "--type", "KBC", "--Z", "30,0,0,0", "--W", "30,0,0,0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: NonFiniteError: "), err
+
+
+def test_overflowing_component_exits_2_without_warning(capsys, tmp_path):
+    # finite components whose channel z1 - i z2 overflows are refused on input
+    path = write_vector(tmp_path, "big.json", {"sigma": 1.0, "coeffs": [[1e308, 0.0, 0.0, 1e308]]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["transform", "--input", path, "--nu", "2"])
     err = capsys.readouterr().err
     assert code == 2
     assert err.count("\n") == 1 and err.startswith("error: NonFiniteError: "), err

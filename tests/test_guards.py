@@ -17,6 +17,7 @@ from bctransforms.bargmann import (
     kernel_K_BC,
     kernel_K_C,
     monomial_norm_sq,
+    project_P,
 )
 from bctransforms.errors import BCTransformsError, DomainError, NonFiniteError
 from bctransforms.frft import (
@@ -39,7 +40,9 @@ from bctransforms.hermite import (
 )
 from bctransforms.quadrature import gauss_hermite, integrate_bicomplex, normalization_c
 from bctransforms.transforms import (
+    s_transform,
     sbt_forward,
+    sbt_forward_integral,
     sbt_inverse_coeff,
     sbt_inverse_integral,
     sbt_kernel_BC,
@@ -120,6 +123,27 @@ OVERFLOWING_KERNELS = {
 def test_closed_form_kernel_fails_closed(name):
     with pytest.raises(NonFiniteError, match="outside float range"):
         OVERFLOWING_KERNELS[name]()
+
+
+# each integral form's kernel leaves float range on the rule's nodes; the error
+# comes from the closed-form kernel the integrand is built from
+OVERFLOWING_INTEGRALS = {
+    "s_transform": lambda: s_transform(lambda xi: xi, 2.0, Bicomplex(400.0, 0j)),
+    "sbt_forward_integral": lambda: sbt_forward_integral(lambda x: 1.0, 1.0, 2.0, Bicomplex(60j, 0j)),
+    "sbt_inverse_integral.split": lambda: sbt_inverse_integral(lambda Z: Z, 1.0, 2.0, 400.0),
+    "sbt_inverse_integral.tensor": lambda: sbt_inverse_integral(
+        lambda Z: Z, 1.0, 2.0, 400.0, order=8, method="tensor"
+    ),
+    "project_P": lambda: project_P(lambda W: W, 2.0, Bicomplex(400.0, 0j), vectorized=True),
+}
+
+
+@pytest.mark.parametrize("name", list(OVERFLOWING_INTEGRALS))
+def test_integral_form_fails_closed_through_its_kernel(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteError, match="outside float range"):
+            OVERFLOWING_INTEGRALS[name]()
 
 
 # each call overflows past the float maximum on the way to its value
