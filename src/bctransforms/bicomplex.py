@@ -104,6 +104,9 @@ def _fails_closed(fn):
     return wrapper
 
 
+_PY_SCALARS = frozenset((complex, float, int))
+
+
 def _min_abs(v) -> float:
     return np.min(np.abs(v)) if isinstance(v, np.ndarray) else abs(v)
 
@@ -114,9 +117,10 @@ class Bicomplex:
     Parameters
     ----------
     z1, z2 : complex scalars or broadcast-compatible complex ndarrays
-        The two complex components in the canonical (1, j) basis.  Finite
-        components whose channel z1 -+ i z2 leaves float range raise
-        NonFiniteError.
+        The two complex components in the canonical (1, j) basis.  A real or
+        imaginary part of a channel z1 -+ i z2 that leaves float range although
+        the parts it is formed from are finite raises NonFiniteError, for
+        scalars and arrays alike; inf and NaN parts propagate.
     """
 
     __slots__ = ("alpha", "beta")
@@ -126,19 +130,19 @@ class Bicomplex:
     __array_ufunc__ = None
 
     def __init__(self, z1: Scalar | np.ndarray = 0j, z2: Scalar | np.ndarray = 0j):
-        # non-finite components propagate, as in the ring primitives
-        if isinstance(z1, (np.ndarray, np.generic)) or isinstance(z2, (np.ndarray, np.generic)):
+        # a channel part that overflows from finite parts raises; inf and NaN
+        # parts propagate, as in the ring primitives
+        if type(z1) in _PY_SCALARS and type(z2) in _PY_SCALARS:
+            alpha, beta = z1 - 1j * z2, z1 + 1j * z2
+            if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
+                # Python's complex arithmetic overflows without a flag: ask numpy's
+                Bicomplex(np.complex128(z1), np.complex128(z2))
+        else:
             try:  # arithmetic on inf or NaN never raises the overflow flag
                 with np.errstate(all="ignore", over="raise"):
                     alpha, beta = z1 - 1j * z2, z1 + 1j * z2
-                overflow = False
             except FloatingPointError:
-                overflow = True
-        else:  # Python's complex arithmetic overflows to inf without a warning
-            alpha, beta = z1 - 1j * z2, z1 + 1j * z2
-            overflow = not (cmath.isfinite(alpha) and cmath.isfinite(beta)) and cmath.isfinite(z1) and cmath.isfinite(z2)
-        if overflow:
-            raise NonFiniteError("components give a channel outside float range")
+                raise NonFiniteError("components give a channel outside float range") from None
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
 

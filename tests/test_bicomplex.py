@@ -121,17 +121,22 @@ class TestConstruction:
             lambda: Bicomplex(np.array([0.5 + 0j, 1e308 + 1e308j]), np.array([0j, 1e308j])),
             lambda: Bicomplex.from_json([[1e308, 0.0, 0.0, 1e308]]),
             lambda: Bicomplex.from_json([1e308, 0.0, 0.0, 1e308]),
+            # the imaginary part of alpha overflows next to an infinite real part
+            lambda: Bicomplex(complex(math.inf, 1e308), -1e308 + 0j),
+            lambda: Bicomplex(np.array([complex(math.inf, 1e308)]), np.array([-1e308 + 0j])),
         ],
-        ids=["scalar", "numpy-scalar", "array", "json-rows", "json-row"],
+        ids=["scalar", "numpy-scalar", "array", "json-rows", "json-row", "scalar-part-inf", "array-part-inf"],
     )
-    def test_finite_components_with_an_overflowing_channel_are_refused(self, build):
-        # alpha = z1 - i z2 leaves float range although every component is finite
+    def test_finite_parts_with_an_overflowing_channel_part_are_refused(self, build):
+        # a part of alpha = z1 - i z2 leaves float range although the parts it
+        # is formed from are finite
         with pytest.raises(NonFiniteError, match="outside float range"):
             build()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_components_still_propagate(self):
         assert Bicomplex(math.inf, 0).alpha == math.inf
+        assert cmath.isnan(Bicomplex(complex(math.nan, 1.0), 1e308 + 0j).beta)
         Z = Bicomplex(np.array([math.inf + 0j, 0.5 + 0j]), np.array([0j, 0.25j]))
         assert Z.alpha.tolist() == [math.inf, 0.75]
 
