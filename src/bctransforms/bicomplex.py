@@ -120,7 +120,8 @@ class Bicomplex:
         The two complex components in the canonical (1, j) basis.  A real or
         imaginary part of a channel z1 -+ i z2 that leaves float range although
         the parts it is formed from are finite raises NonFiniteError, for
-        scalars and arrays alike; inf and NaN parts propagate.
+        scalars and arrays alike, and so does an int beyond float range; inf
+        and NaN parts propagate.
     """
 
     __slots__ = ("alpha", "beta")
@@ -130,19 +131,19 @@ class Bicomplex:
     __array_ufunc__ = None
 
     def __init__(self, z1: Scalar | np.ndarray = 0j, z2: Scalar | np.ndarray = 0j):
-        # a channel part that overflows from finite parts raises; inf and NaN
-        # parts propagate, as in the ring primitives
-        if type(z1) in _PY_SCALARS and type(z2) in _PY_SCALARS:
-            alpha, beta = z1 - 1j * z2, z1 + 1j * z2
-            if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
-                # Python's complex arithmetic overflows without a flag: ask numpy's
-                Bicomplex(np.complex128(z1), np.complex128(z2))
-        else:
-            try:  # arithmetic on inf or NaN never raises the overflow flag
+        # a channel part that overflows from finite parts raises, as does an int
+        # beyond float range; inf and NaN parts propagate, as in the ring primitives
+        try:
+            if type(z1) in _PY_SCALARS and type(z2) in _PY_SCALARS:
+                alpha, beta = z1 - 1j * z2, z1 + 1j * z2
+                if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
+                    # Python's complex arithmetic overflows without a flag: ask numpy's
+                    Bicomplex(np.complex128(z1), np.complex128(z2))
+            else:  # arithmetic on inf or NaN never raises the overflow flag
                 with np.errstate(all="ignore", over="raise"):
                     alpha, beta = z1 - 1j * z2, z1 + 1j * z2
-            except FloatingPointError:
-                raise NonFiniteError("components give a channel outside float range") from None
+        except (FloatingPointError, OverflowError):
+            raise NonFiniteError("components give a channel outside float range") from None
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
 
@@ -154,7 +155,10 @@ class Bicomplex:
     @classmethod
     def from_reals(cls, x1: float, y1: float, x2: float, y2: float) -> "Bicomplex":
         """Build from the four real coordinates (x1, y1, x2, y2)."""
-        return cls(complex(x1, y1), complex(x2, y2))
+        try:
+            return cls(complex(x1, y1), complex(x2, y2))
+        except OverflowError:  # an int beyond float range
+            raise NonFiniteError("a coordinate is outside float range") from None
 
     @classmethod
     def from_complex(cls, z: Scalar | np.ndarray) -> "Bicomplex":
@@ -330,7 +334,10 @@ def as_bicomplex(value) -> Bicomplex:
     if isinstance(value, np.ndarray):
         return Bicomplex.from_complex(value.astype(complex, copy=False))
     if isinstance(value, Number):
-        return Bicomplex.from_complex(complex(value))
+        try:
+            return Bicomplex.from_complex(complex(value))
+        except OverflowError:  # an int beyond float range
+            raise NonFiniteError("value is outside float range") from None
     raise TypeError(f"cannot interpret {type(value).__name__} as Bicomplex")
 
 

@@ -10,7 +10,8 @@ Subcommands:
     mehler     tabulate closed-form vs series kernel error on a grid
 
 Exit codes: 0 all good, 1 a verification case failed, 2 configuration or
-input error (bad flags, schema violations, excluded parameters).
+input error (bad flags, schema violations, excluded parameters), printed as
+one line ``error: <message>``; an error raised by the library names its type.
 """
 
 from __future__ import annotations
@@ -41,13 +42,9 @@ from .verification import SUITE_NAMES, run_suite
 __all__ = ["main"]
 
 
-class _ConfigError(Exception):
-    pass
-
-
 def _parse_floats(text: str | None, count: int, what: str) -> list[float]:
     if text is None:
-        raise _ConfigError(f"{what} is required")
+        raise ValueError(f"{what} is required")
     # tolerate a leading name tag like "Z=0.3,0.1,..."
     tag, sep, rest = text.partition("=")
     body = rest if sep and tag.strip().isidentifier() else text
@@ -56,36 +53,34 @@ def _parse_floats(text: str | None, count: int, what: str) -> list[float]:
     except ValueError:
         vals = []
     if len(vals) != count:
-        raise _ConfigError(f"{what} expects {count} comma-separated floats, got {text!r}")
+        raise ValueError(f"{what} expects {count} comma-separated floats, got {text!r}")
     return vals
 
 
-def _parse_theta(args, *, allow_scalar: bool = False):
-    """Build the rotation parameter from --theta-phases or --theta.
-
-    Returns a ThetaParam for the transform commands.  With allow_scalar=True
-    (the mehler command) a bare value is returned instead, since the kernel
-    there accepts any parameter with channel moduli <= 1.
-    """
-    phases = getattr(args, "theta_phases", None)
-    raw = getattr(args, "theta", None)
-    if phases is not None and raw is not None:
-        raise _ConfigError("give either --theta-phases or --theta, not both")
-    if phases is not None:
-        a, b = _parse_floats(phases, 2, "--theta-phases")
-        if allow_scalar:
-            return ThetaParam.from_phases(a, b).theta
-        return ThetaParam.from_phases(a, b)
-    if raw is None:
+def _parse_theta(args) -> Bicomplex | None:
+    """The parameter of --theta-phases a,b (exp(i a) e+ + exp(i b) e-) or of
+    --theta as four reals x1,y1,x2,y2 or one real; None when neither is given."""
+    if args.theta_phases is not None and args.theta is not None:
+        raise ValueError("give either --theta-phases or --theta, not both")
+    if args.theta_phases is not None:
+        return ThetaParam.from_phases(*_parse_floats(args.theta_phases, 2, "--theta-phases")).theta
+    if args.theta is None:
         return None
-    parts = [p for p in raw.split(",") if p.strip()]
-    if allow_scalar and len(parts) == 1:
-        return as_bicomplex(float(parts[0]))
-    vals = _parse_floats(raw, 4, "--theta")
-    Z = Bicomplex.from_reals(*vals)
-    if allow_scalar:
-        return Z
-    return ThetaParam(Z)
+    try:
+        return as_bicomplex(float(args.theta))
+    except ValueError:
+        return Bicomplex.from_reals(*_parse_floats(args.theta, 4, "--theta"))
+
+
+def _torus_theta(args, needed_by: str | None = None) -> ThetaParam | None:
+    """The parameter as a unit-torus ThetaParam; when it is absent, None, or an
+    error if ``needed_by`` names a command that needs it."""
+    theta = _parse_theta(args)
+    if theta is not None:
+        return ThetaParam(theta)
+    if needed_by:
+        raise ValueError(f"{needed_by} needs --theta-phases or --theta")
+    return None
 
 
 def _load_vector(path: str):
@@ -95,7 +90,7 @@ def _load_vector(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     if not isinstance(data, dict):
-        raise _ConfigError("input must be a JSON object")
+        raise ValueError("input must be a JSON object")
     # --out wraps the vector in a result envelope; accept those files directly
     if isinstance(data.get("vector"), dict):
         data = data["vector"]
@@ -103,7 +98,7 @@ def _load_vector(path: str):
         return HermiteCoeffVector.from_json(data)
     if "nu" in data:
         return MonomialCoeffVector.from_json(data)
-    raise _ConfigError('input object needs a "sigma" or "nu" key')
+    raise ValueError('input object needs a "sigma" or "nu" key')
 
 
 def _emit(payload: str, out: str | None) -> None:
@@ -118,14 +113,13 @@ def _emit(payload: str, out: str | None) -> None:
 
 
 def _cmd_verify(args) -> int:
-    theta = _parse_theta(args)
     report = run_suite(
         args.suite,
         sigma=args.sigma,
         nu=args.nu,
         order=args.order,
         seed=args.seed,
-        theta=theta,
+        theta=_torus_theta(args),
     )
     width = max(len(c.id) for c in report.cases)
     for c in report.cases:
@@ -139,47 +133,40 @@ def _cmd_verify(args) -> int:
     return 0 if report.all_passed else 1
 
 
+def _emit_vector(vec, args) -> int:
+    """Write ``{"vector": ...}``, plus ``"eval"`` at the --eval point when given:
+    a ring point x1,y1,x2,y2 for a monomial vector, a real point for a Hermite one."""
+    payload: dict = {"vector": vec.to_json()}
+    if args.eval is not None:
+        if isinstance(vec, MonomialCoeffVector):
+            point = Bicomplex.from_reals(*_parse_floats(args.eval, 4, "--eval"))
+            echo = point.to_json()
+        else:
+            point = echo = _parse_floats(args.eval, 1, "--eval")[0]
+        payload["eval"] = {"point": echo, "value": as_bicomplex(vec.evaluate(point)).to_json()}
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    return 0
+
+
 def _cmd_transform(args) -> int:
     vec = _load_vector(args.input)
     if isinstance(vec, HermiteCoeffVector):
         if args.nu is None:
-            raise _ConfigError("forward transform needs --nu")
-        out_vec = sbt_forward(vec, args.nu)
-    else:
-        if args.sigma is None:
-            raise _ConfigError("inverse transform needs --sigma")
-        out_vec = sbt_inverse_coeff(vec, args.sigma)
-    payload: dict = {"vector": out_vec.to_json()}
-    if args.eval is not None:
-        if isinstance(out_vec, MonomialCoeffVector):
-            vals = _parse_floats(args.eval, 4, "--eval")
-            point = Bicomplex.from_reals(*vals)
-            value = out_vec.evaluate(point)
-            payload["eval"] = {"point": point.to_json(), "value": value.to_json()}
-        else:
-            vals = _parse_floats(args.eval, 1, "--eval")
-            value = as_bicomplex(out_vec.evaluate(vals[0]))
-            payload["eval"] = {"point": vals[0], "value": value.to_json()}
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    return 0
+            raise ValueError("forward transform needs --nu")
+        return _emit_vector(sbt_forward(vec, args.nu), args)
+    if args.sigma is None:
+        raise ValueError("inverse transform needs --sigma")
+    return _emit_vector(sbt_inverse_coeff(vec, args.sigma), args)
 
 
 def _cmd_frft(args) -> int:
     vec = _load_vector(args.input)
     if not isinstance(vec, HermiteCoeffVector):
-        raise _ConfigError("frft expects a sigma-keyed coefficient vector")
-    theta = _parse_theta(args)
-    if theta is None:
-        raise _ConfigError("frft needs --theta-phases or --theta")
-    eff = ThetaParam(conj_star(theta.theta)) if args.inverse else theta
-    out_vec = frft_coefficients(vec, eff)
-    payload: dict = {"vector": out_vec.to_json()}
-    if args.eval is not None:
-        vals = _parse_floats(args.eval, 1, "--eval")
-        value = as_bicomplex(out_vec.evaluate(vals[0]))
-        payload["eval"] = {"point": vals[0], "value": value.to_json()}
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    return 0
+        raise ValueError("frft expects a sigma-keyed coefficient vector")
+    theta = _torus_theta(args, "frft")
+    if args.inverse:
+        theta = ThetaParam(conj_star(theta.theta))
+    return _emit_vector(frft_coefficients(vec, theta), args)
 
 
 #: each kernel type: its function and the flags of its arguments, in call order
@@ -203,9 +190,7 @@ def _kernel_arg(args, flag: str):
         Z = Bicomplex.from_reals(*_parse_floats(getattr(args, flag), 4, f"--{flag}"))
         return Z, Z.to_json()
     if flag == "theta":
-        theta = _parse_theta(args)
-        if theta is None:
-            raise _ConfigError(f"kernel --type {args.type} needs --theta-phases or --theta")
+        theta = _torus_theta(args, f"kernel --type {args.type}")
         return theta, theta.theta.to_json()
     value = getattr(args, flag)
     return value, value
@@ -223,16 +208,16 @@ def _parse_grid(text: str) -> np.ndarray:
     try:
         start, stop, step = (float(p) for p in text.split(":"))
     except ValueError as err:
-        raise _ConfigError(f"--grid expects start:stop:step, got {text!r}") from err
+        raise ValueError(f"--grid expects start:stop:step, got {text!r}") from err
     if step <= 0 or stop < start:
-        raise _ConfigError("--grid needs step > 0 and stop >= start")
+        raise ValueError("--grid needs step > 0 and stop >= start")
     return np.arange(start, stop + step / 2.0, step)
 
 
 def _cmd_mehler(args) -> int:
-    theta = _parse_theta(args, allow_scalar=True)
+    theta = _parse_theta(args)
     if theta is None:
-        raise _ConfigError("mehler needs --theta or --theta-phases")
+        raise ValueError("mehler needs --theta or --theta-phases")
     grid = _parse_grid(args.grid)
     x, y = grid[:, None], grid[None, :]
     closed = mehler_closed(args.sigma, theta, x, y)
@@ -265,10 +250,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = subs.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", default="all", choices=SUITE_NAMES)
-    p_verify.add_argument("--sigma", type=float, default=1.0)
-    p_verify.add_argument("--nu", type=float, default=2.0)
-    p_verify.add_argument("--order", type=int, default=64)
-    p_verify.add_argument("--seed", type=int, default=20240817)
+    for name in ("sigma", "nu", "order", "seed"):
+        default = run_suite.__kwdefaults__[name]
+        p_verify.add_argument(f"--{name}", type=type(default), default=default)
     p_verify.add_argument("--out", help="write JSON report here (CSV sibling alongside)")
     _add_theta_flags(p_verify)
     p_verify.set_defaults(fn=_cmd_verify)
@@ -315,27 +299,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VALUE_FLAGS = ("--grid", "--theta", "--theta-phases", "--eval", "--z", "--w", "--Z", "--W")
-
-
 def _absorb_dash_values(argv: list[str]) -> list[str]:
-    # argparse mistakes dash-leading values like "-2:2:0.5" or "-0.5,0,0,0"
-    # for option strings; glue them to their flag with "="
+    # argparse mistakes dash-leading values like "-2:2:0.5" or "-0.5,0,0,0" for
+    # option strings; glue each to the --option before it with "=", except "-"
+    # (stdin), "--" and "-h", and nothing after "--"
     out: list[str] = []
-    i = 0
-    while i < len(argv):
-        a = argv[i]
-        if (
-            a in _VALUE_FLAGS
-            and i + 1 < len(argv)
-            and argv[i + 1].startswith("-")
-            and not argv[i + 1].startswith("--")
-        ):
-            out.append(a + "=" + argv[i + 1])
-            i += 2
+    for token in argv:
+        prev = out[-1] if out else ""
+        glue = prev.startswith("--") and prev != "--" and "=" not in prev
+        if glue and token.startswith("-") and not token.startswith("--") and token not in ("-", "-h"):
+            out[-1] = f"{prev}={token}"
         else:
-            out.append(a)
-            i += 1
+            out.append(token)
     return out
 
 
@@ -346,14 +321,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(_absorb_dash_values(list(argv)))
     try:
         return args.fn(args)
-    except (_ConfigError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except BCTransformsError as err:
-        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (ValueError, BCTransformsError, OSError) as err:
+        kind = f"{type(err).__name__}: " if isinstance(err, BCTransformsError) else ""
+        print(f"error: {kind}{err}", file=sys.stderr)
         return 2
 
 

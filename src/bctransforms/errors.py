@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the weight-parameter guard."""
 
-import math
+import sys
 
 
 class BCTransformsError(Exception):
@@ -39,6 +39,7 @@ class DimensionMismatch(BCTransformsError, ValueError):
 
 
 def _require_positive(name: str, value) -> None:
-    """Raise DomainError unless 0 < ``value`` < inf; NaN fails too."""
-    if not 0 < value < math.inf:
+    """Raise DomainError unless 0 < ``value`` <= the largest float; NaN, inf and
+    an int beyond float range fail."""
+    if not 0 < value <= sys.float_info.max:
         raise DomainError(f"{name} must be positive and finite, got {value!r}")

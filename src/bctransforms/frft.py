@@ -24,6 +24,7 @@ theta**n psi_n(x) psi_n(y) term by term.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -105,8 +106,8 @@ class ThetaParam:
     @classmethod
     def from_phases(cls, phi1: float, phi2: float) -> "ThetaParam":
         """Unit-torus parameter exp(i phi1) e+ + exp(i phi2) e-; a non-finite
-        phase raises ExcludedParameterError."""
-        if not (np.isfinite(phi1) and np.isfinite(phi2)):
+        phase, or an int beyond float range, raises ExcludedParameterError."""
+        if not (abs(phi1) <= sys.float_info.max and abs(phi2) <= sys.float_info.max):
             raise ExcludedParameterError(f"theta phases must be finite, got ({phi1!r}, {phi2!r})")
         return cls(Bicomplex.from_channels(np.exp(1j * phi1), np.exp(1j * phi2)))
 

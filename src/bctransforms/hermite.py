@@ -109,10 +109,14 @@ def psi_values(n_max: int, sigma: float, x) -> list:
     """All of psi_0 .. psi_{n_max} at ``x`` in one recurrence pass; a value
     outside float range raises NonFiniteError."""
     _validate(n_max, sigma)
+    message = f"psi_{n_max} at sigma={sigma} is outside float range"
     with np.errstate(all="ignore"):
-        values = list(_ladder(n_max, sigma, x))
+        try:
+            values = list(_ladder(n_max, sigma, x))
+        except OverflowError:  # an int x beyond float range
+            raise NonFiniteError(message) from None
     # a non-finite rung makes every later rung non-finite, so the last decides
-    _require_finite(values[-1], f"psi_{n_max} at sigma={sigma} is outside float range")
+    _require_finite(values[-1], message)
     return values
 
 

@@ -150,11 +150,11 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class _Params:
-    sigma: float = 1.0
-    nu: float = 2.0
-    order: int = 64
-    seed: int = 20240817
-    theta: ThetaParam | None = None
+    sigma: float
+    nu: float
+    order: int
+    seed: int
+    theta: ThetaParam | None
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -23,7 +24,7 @@ from bctransforms import (
     sbt_kernel_BC,
     sbt_kernel_C,
 )
-from bctransforms.cli import _KERNELS, main
+from bctransforms.cli import _KERNELS, _absorb_dash_values, _build_parser, main
 
 from conftest import strict_json
 
@@ -502,3 +503,87 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "cases passed" in proc.stdout
+
+
+def _subcommands() -> dict:
+    return next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _value_options():
+    """(subcommand, action) for every option of every subcommand that takes one value."""
+    for command, sub in _subcommands().items():
+        for action in sub._actions:
+            # a choices option has no dash-leading valid value
+            if action.nargs is None and action.option_strings and not action.choices:
+                yield pytest.param(command, action, id=f"{command}{action.option_strings[0]}")
+
+
+@pytest.mark.parametrize("command, action", _value_options())
+def test_dash_leading_value_reaches_its_option(command, action):
+    # "-1e-3" and "-0.3,..." are not argparse's negative numbers, so argparse
+    # would take either for an option string
+    token = {int: "-3", float: "-1e-3"}.get(action.type, "-0.3,0.1,0.2,0.5")
+    argv = [command]
+    for other in _subcommands()[command]._actions:
+        if other.required and other is not action:
+            argv += [other.option_strings[0], other.choices[0] if other.choices else "x"]
+    args = _build_parser().parse_args(_absorb_dash_values(argv + [action.option_strings[0], token]))
+    assert getattr(args, action.dest) == (action.type or str)(token)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transform", "--input", "-", "--nu", "2"],  # "-" is stdin
+        ["mehler", "--theta", "-h"],
+        ["mehler", "--grid", "--", "-1:1:0.5"],
+        ["frft", "--eval=-0.5", "-0.3"],  # the option already holds its value
+        ["frft", "--theta-phases=-0.3,0.6"],
+    ],
+    ids=["stdin", "help", "after-double-dash", "holds-value", "equals-form"],
+)
+def test_tokens_that_are_never_glued(argv):
+    assert _absorb_dash_values(argv) == argv
+
+
+def test_dash_leading_values_through_main(capsys, tmp_path):
+    path = write_vector(tmp_path, "v.json", BASIS1)
+    data = run_json(capsys, ["frft", "--input", path, "--theta", "-0.6,0.8,0,0"])
+    assert_allclose(data["vector"]["coeffs"][1], [-0.6, 0.8, 0.0, 0.0], rtol=1e-15)
+    data = run_json(capsys, ["kernel", "--type", "SBT", "--x", "-0.3", "--Z", "-0.3,0.1,0.2,0.5"])
+    assert data["x"] == -0.3 and data["Z"] == Bicomplex.from_reals(-0.3, 0.1, 0.2, 0.5).to_json()
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["transform", "--nu", "-1"], "DomainError"),
+        (["frft", "--theta-phases", "0,1"], "ExcludedParameterError"),
+        (["transform", "--nu", "2", "--eval", "1e300,0,0,0"], "NonFiniteError"),
+    ],
+    ids=["domain", "excluded", "non-finite"],
+)
+def test_library_error_prints_its_type(capsys, tmp_path, argv, kind):
+    path = write_vector(tmp_path, "v.json", {"sigma": 1.0, "coeffs": [[0.0, 0.0, 0.0, 0.0]] * 2 + [[1.0, 0.0, 0.0, 0.0]]})
+    code = main(argv[:1] + ["--input", path] + argv[1:])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: {kind}: "), captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, expect",
+    [
+        (["frft", "--input", "VEC", "--theta", "0.5"], 2),
+        (["kernel", "--type", "FRFT", "--theta", "0.5"], 2),
+        (["verify", "--suite", "frft", "--theta", "0.5"], 2),
+        (["mehler", "--theta", "0.5", "--grid", "0:1:0.5"], 0),
+    ],
+    ids=["frft", "kernel", "verify", "mehler"],
+)
+def test_one_real_theta_only_for_mehler(capsys, tmp_path, argv, expect):
+    path = write_vector(tmp_path, "v.json", BASIS1)
+    assert main([path if a == "VEC" else a for a in argv]) == expect
+    err = capsys.readouterr().err
+    if expect:
+        assert "not on the unit circle" in err

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bctransforms import Bicomplex
+from bctransforms import Bicomplex, as_bicomplex
 from bctransforms.bargmann import (
     HermiteCoeffVector,
     MonomialCoeffVector,
@@ -36,6 +36,7 @@ from bctransforms.hermite import (
     hermite_norm_sq,
     hermite_sigma,
     hermite_sigma_bc,
+    psi_n,
     psi_values,
 )
 from bctransforms.quadrature import gauss_hermite, integrate_bicomplex, normalization_c
@@ -80,7 +81,7 @@ WEIGHT_CALLS = {
 }
 
 
-@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("bad", [math.inf, math.nan, pytest.param(10**400, id="int-beyond-float")])
 @pytest.mark.parametrize("name", list(WEIGHT_CALLS))
 def test_weight_parameter_must_be_positive_and_finite(name, bad):
     with pytest.raises(ValueError) as info:
@@ -93,6 +94,34 @@ def test_monomial_norm_underflow_raises():
     # 2**160 160! / (1e300)**160 is far below the smallest float, but not zero
     with pytest.raises(NonFiniteError):
         monomial_norm_sq(160, 1e300)
+
+
+BEYOND_FLOAT = 10**400
+
+# an int too large for a float, as a component, weight, point or phase; each once
+# raised a bare OverflowError (the phase a TypeError), or constructed
+INT_BEYOND_FLOAT = {
+    "Bicomplex.z1": lambda: Bicomplex(BEYOND_FLOAT),
+    "Bicomplex.z2": lambda: Bicomplex(1, BEYOND_FLOAT),
+    "Bicomplex.array": lambda: Bicomplex(np.ones(2, dtype=complex), BEYOND_FLOAT),
+    "Bicomplex.from_reals": lambda: Bicomplex.from_reals(BEYOND_FLOAT, 0, 0, 0),
+    "as_bicomplex": lambda: as_bicomplex(BEYOND_FLOAT),
+    "gauss_hermite": lambda: gauss_hermite(8, BEYOND_FLOAT),
+    "psi_n.sigma": lambda: psi_n(3, BEYOND_FLOAT, 0.5),
+    "psi_n.x": lambda: psi_n(2, 1.0, BEYOND_FLOAT),
+    "monomial_norm_sq": lambda: monomial_norm_sq(3, BEYOND_FLOAT),
+    "hermite_norm_sq": lambda: hermite_norm_sq(3, BEYOND_FLOAT),
+    "HermiteCoeffVector": lambda: HermiteCoeffVector(BEYOND_FLOAT, [1.0]),
+    "ThetaParam.from_phases": lambda: ThetaParam.from_phases(BEYOND_FLOAT, 0),
+}
+
+
+@pytest.mark.parametrize("name", list(INT_BEYOND_FLOAT))
+def test_int_beyond_float_range_fails_closed(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(BCTransformsError):
+            INT_BEYOND_FLOAT[name]()
 
 
 BIG = Bicomplex(30.0, 0.0)
