@@ -1,21 +1,21 @@
 """Weighted function spaces: coefficient vectors, reproducing kernels, projections.
 
-Two finite coefficient representations are used throughout the package:
+Both coefficient vectors hold the coordinates of a finite expansion in an
+orthonormal basis, as one array-valued Bicomplex whose channels are the
+coordinate arrays:
 
-* :class:`HermiteCoeffVector` - a polynomial on the line expanded in the
-  orthonormal psi_n basis attached to the weight exp(-sigma x**2);
+* :class:`HermiteCoeffVector` - a polynomial on the line in the psi_n basis
+  attached to the weight exp(-sigma x**2);
 * :class:`MonomialCoeffVector` - a holomorphic polynomial on the bicomplex
-  ring expanded in monomials Z**n, square-summable against exp(-nu |Z|**2)
-  with squared monomial norms 2**n n! / nu**n.
+  ring, square-summable against exp(-nu |Z|**2), in the basis
+  e_n = r_n Z**n, r_n = (c**n n!)**(-1/2), c = 2/nu.  Its constructor,
+  ``basis``, ``coeffs`` and JSON speak the raw coefficients A_n = u_n r_n of
+  Z**n; nothing else does.
 
-Both store ``coeffs`` as one array-valued Bicomplex whose channels are the
-coefficient arrays; ``coeffs[n]`` and iteration yield Bicomplex values, and
-the constructors also accept a sequence of scalars or Bicomplex values.
-
-Inner products are bicomplex-valued and conjugate-linear in the second slot.
-The scalar ``norm_sq`` of a vector is the mean of the two channel norms,
-equivalently the weighted sum of squared Euclidean moduli of the
-coefficients; both transforms in this package preserve it channelwise.
+Norms and pairings are the same coordinate sums on both sides, so the
+coherent-state transform, psi_n -> e_n, keeps the coordinate array.  Inner
+products are bicomplex-valued and conjugate-linear in the second slot; the
+scalar ``norm_sq`` is the mean of the two channel norms.
 """
 
 from __future__ import annotations
@@ -36,11 +36,10 @@ from .bicomplex import (
     norm as bc_norm,
 )
 from .errors import DimensionMismatch, _require_positive
-from .hermite import _scale, _weight, psi_values
+from .hermite import _ratios, _scale, _weight, psi_values
 from .quadrature import (
     DEFAULT_BC_ORDER,
     DEFAULT_ORDER,
-    QuadratureRule,
     gauss_hermite,
     integrate_bicomplex,
     integrate_real,
@@ -60,46 +59,68 @@ __all__ = [
     "idempotent_split_F",
 ]
 
+_OUTSIDE_FLOAT_RANGE = "coefficient vector has an entry outside float range"
+
+
 class _CoeffVector:
-    """Validation, basis and wire code shared by the two coefficient vectors;
-    ``_param`` names the weight parameter, the first constructor argument."""
+    """Coordinates ``_unit`` in an orthonormal basis, with validation and the
+    wire form; ``_param`` names the weight parameter, the first constructor
+    argument.  Each subclass is a frozen dataclass of those two fields."""
 
     _param: str
 
-    def __post_init__(self):
-        _require_positive(self._param, getattr(self, self._param))
-        c = self.coeffs
-        if not isinstance(c, Bicomplex):
-            items = [as_bicomplex(v) for v in c]
-            c = Bicomplex.from_channels([v.alpha for v in items], [v.beta for v in items])
-        alpha, beta = np.asarray(c.alpha, dtype=complex), np.asarray(c.beta, dtype=complex)
+    def __init__(self, param: float, coeffs):
+        _require_positive(self._param, param)
+        if not isinstance(coeffs, Bicomplex):
+            items = [as_bicomplex(v) for v in coeffs]
+            coeffs = Bicomplex.from_channels([v.alpha for v in items], [v.beta for v in items])
+        alpha, beta = np.asarray(coeffs.alpha, dtype=complex), np.asarray(coeffs.beta, dtype=complex)
         if alpha.ndim != 1 or alpha.shape != beta.shape or not alpha.size:
             raise ValueError("coefficients must form a non-empty one-dimensional sequence")
-        c = Bicomplex.from_channels(alpha, beta)
-        object.__setattr__(self, "coeffs", _require_finite(c, "coefficient vector has an entry outside float range"))
+        unit = _require_finite(Bicomplex.from_channels(alpha, beta), _OUTSIDE_FLOAT_RANGE)
+        self.__dict__.update({self._param: param, "_unit": unit})
+
+    @classmethod
+    def _from_unit(cls, param: float, unit: Bicomplex):
+        """The vector of weight ``param`` with the (valid) coordinates ``unit``."""
+        _require_positive(cls._param, param)
+        out = object.__new__(cls)
+        out.__dict__.update({cls._param: param, "_unit": unit})
+        return out
+
+    coeffs = property(lambda self: self._unit, doc="The coordinates, one array-valued Bicomplex.")
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs.alpha) - 1
+        return len(self._unit.alpha) - 1
 
     @classmethod
     def basis(cls, n: int, param: float):
-        """The unit vector in slot ``n`` for weight parameter ``param``."""
+        """The vector with coefficient 1 in slot ``n`` for weight parameter ``param``."""
         unit = np.zeros(n + 1, dtype=complex)
         unit[n] = 1.0
         return cls(param, Bicomplex.from_channels(unit, unit.copy()))
 
     @_fails_closed
-    def _norm_sq(self, scale=1.0) -> float:
-        """sum_n (|c_n| / scale_n)**2; an overflow raises instead of returning inf."""
-        return float(np.sum((bc_norm(self.coeffs) / scale) ** 2))
+    def norm_sq(self) -> float:
+        """Sum of squared Euclidean moduli of the coordinates."""
+        return float(np.sum(bc_norm(self._unit) ** 2))
+
+    @_fails_closed
+    def _pair(self, other) -> Bicomplex:
+        """sum_n u_n (v_n)* over the common length of the coordinates of two
+        vectors of one class and weight."""
+        mine, theirs = getattr(self, self._param), getattr(other, self._param)
+        if abs(mine - theirs) > 1e-12:
+            raise DimensionMismatch(f"{self._param} mismatch: {mine} vs {theirs}")
+        n = min(self.degree, other.degree) + 1
+        p = bc_inner(self._unit[:n], other._unit[:n])
+        return Bicomplex.from_channels(np.sum(p.alpha), np.sum(p.beta))
 
     def to_json(self) -> dict:
         # a decoded vector re-encodes the rows it came from: its channels hold
         # each component only to 1 ulp at pair scale, its rows hold it exactly
-        rows = getattr(self, "_rows", None)
-        if rows is None:
-            rows = self.coeffs._wire()
+        rows = self._rows if "_rows" in self.__dict__ else self.coeffs._wire()
         return {self._param: getattr(self, self._param), "coeffs": rows.tolist()}
 
     @classmethod
@@ -109,45 +130,76 @@ class _CoeffVector:
         rows = np.array(data["coeffs"], dtype=float)
         out = cls(float(data[cls._param]), Bicomplex.from_json(rows))
         rows.flags.writeable = False
-        object.__setattr__(out, "_rows", rows)
+        out.__dict__["_rows"] = rows
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HermiteCoeffVector(_CoeffVector):
     """Finite expansion sum_n c_n psi_n in the weighted Hermite basis."""
 
     sigma: float
-    coeffs: Bicomplex
+    _unit: Bicomplex
     _param = "sigma"
+
+    def __init__(self, sigma: float, coeffs):
+        super().__init__(sigma, coeffs)
 
     @_fails_closed
     def evaluate(self, x):
         """Value of the expansion at real ``x`` (scalar or ndarray); a value
         outside float range raises NonFiniteError."""
         vals = np.array(psi_values(self.degree, self.sigma, x))
-        a, b = (np.einsum("n,n...->...", ch, vals) for ch in (self.coeffs.alpha, self.coeffs.beta))
+        a, b = (np.einsum("n,n...->...", ch, vals) for ch in (self._unit.alpha, self._unit.beta))
         return Bicomplex.from_channels(a, b)
 
-    def norm_sq(self) -> float:
-        """Sum of squared Euclidean moduli of the coefficients."""
-        return self._norm_sq()
+
+@_fails_closed
+def eval_monomial_series(f: MonomialCoeffVector, Z: Bicomplex) -> Bicomplex:
+    """Evaluate sum_n A_n Z**n = sum_n u_n r_n Z**n by channelwise Horner recursion
+    on the ratios r_n / r_{n-1}: b_N = u_N, b_n = u_n + b_{n+1} Z / sqrt(c (n+1)),
+    value b_0.  It never forms r_n, and multiplies by each 1 / sqrt(c n) (a
+    complex division costs several products).  A value outside float range
+    raises NonFiniteError."""
+    Z = as_bicomplex(Z)
+    steps = (1.0 / np.sqrt((2.0 / f.nu) * np.arange(f.degree, 0, -1))).tolist()  # 1/sqrt(c n), n = N..1
+
+    def horner(u, z):
+        *rest, acc = u.tolist()
+        acc += 0 * z  # the shape of z, at degree 0 too
+        for u_n, step in zip(reversed(rest), steps):
+            acc = u_n + acc * z * step
+        return acc
+
+    return Bicomplex.from_channels(horner(f._unit.alpha, Z.alpha), horner(f._unit.beta, Z.beta))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MonomialCoeffVector(_CoeffVector):
-    """Finite expansion sum_n A_n Z**n of a holomorphic polynomial."""
+    """Finite expansion sum_n A_n Z**n of a holomorphic polynomial, held as
+    u_n = A_n / r_n.  Taking raw coefficients in (constructor, ``basis``,
+    ``from_json``) raises NonFiniteError where r_n leaves the normal float
+    range, after degree 300 at nu = 2.  Giving them out (``coeffs``,
+    ``to_json``) rounds each A_n once: one below float range underflows to 0,
+    and one above it raises NonFiniteError."""
 
     nu: float
-    coeffs: Bicomplex
+    _unit: Bicomplex
     _param = "nu"
 
-    def evaluate(self, Z: Bicomplex) -> Bicomplex:
-        return eval_monomial_series(self, Z)
+    def __init__(self, nu: float, coeffs):
+        super().__init__(nu, coeffs)  # validates the raw A_n, which u_n then replace
+        with np.errstate(all="ignore"):
+            unit = self._unit / _scale(self.degree, 2.0 / nu)
+        self.__dict__["_unit"] = _require_finite(unit, _OUTSIDE_FLOAT_RANGE)
 
-    def norm_sq(self) -> float:
-        """Weighted sum of squared coefficient moduli, weights 2**n n!/nu**n."""
-        return self._norm_sq(_scale(self.degree, 2.0 / self.nu))
+    @property
+    @_fails_closed
+    def coeffs(self) -> Bicomplex:
+        """The raw coefficients A_n = u_n r_n."""
+        return self._unit * _ratios(self.degree, 2.0 / self.nu)
+
+    evaluate = eval_monomial_series
 
 
 @_fails_closed
@@ -173,13 +225,19 @@ def monomial_norm_sq(n: int, nu: float) -> float:
     return _weight(n, 2.0 / nu)
 
 
-@_fails_closed
-def _pairwise_inner(f: Bicomplex, g: Bicomplex, scale=1.0) -> Bicomplex:
-    """sum_n (f_n / scale_n) (g_n / scale_n)* over the common length of two coefficient
-    arrays; a sum outside float range raises instead of returning inf or NaN."""
-    n = min(len(f.alpha), len(g.alpha))
-    p = bc_inner(f[:n] / scale, g[:n] / scale)
-    return Bicomplex.from_channels(np.sum(p.alpha), np.sum(p.beta))
+def _inner(cls, f, g, param, integrate) -> Bicomplex:
+    """Two ``cls`` vectors pair on their coordinates.  Otherwise the pointwise
+    pairing h is integrated as ``integrate(h, param)``, with ``param`` taken
+    from the vector operand when it is not given."""
+    f_vec, g_vec = isinstance(f, cls), isinstance(g, cls)
+    if f_vec and g_vec:
+        return f._pair(g)
+    if param is None:
+        param = getattr(f if f_vec else g if g_vec else None, cls._param, None)
+    if param is None:
+        raise DimensionMismatch(f"{cls._param} is required when both operands are callables")
+    fe, ge = (v.evaluate if isinstance(v, cls) else v for v in (f, g))
+    return integrate(lambda X: bc_inner(as_bicomplex(fe(X)), as_bicomplex(ge(X))), param)
 
 
 def inner_L2sigma(
@@ -198,26 +256,11 @@ def inner_L2sigma(
     operand).  Callables must broadcast over node arrays when
     ``vectorized=True``.
     """
-    f_vec = isinstance(f, HermiteCoeffVector)
-    g_vec = isinstance(g, HermiteCoeffVector)
-    if f_vec and g_vec:
-        if abs(f.sigma - g.sigma) > 1e-12:
-            raise DimensionMismatch(f"sigma mismatch: {f.sigma} vs {g.sigma}")
-        return _pairwise_inner(f.coeffs, g.coeffs)
-    sig = sigma
-    if sig is None:
-        sig = f.sigma if f_vec else (g.sigma if g_vec else None)
-    if sig is None:
-        raise DimensionMismatch("sigma is required when both operands are callables")
-    fe = f.evaluate if f_vec else f
-    ge = g.evaluate if g_vec else g
-    rule = gauss_hermite(order, sig)
-    val = integrate_real(
-        lambda x: bc_inner(as_bicomplex(fe(x)), as_bicomplex(ge(x))),
-        rule,
-        vectorized=vectorized,
-    )
-    return normalization_c(0, sig) * val
+
+    def integrate(h, s):
+        return integrate_real(h, gauss_hermite(order, s), vectorized=vectorized) * normalization_c(0, s)
+
+    return _inner(HermiteCoeffVector, f, g, sigma, integrate)
 
 
 def inner_H2nu(
@@ -230,32 +273,17 @@ def inner_H2nu(
 ) -> Bicomplex:
     """Holomorphic-side inner product, conjugate-linear in ``g``.
 
-    Coefficient vectors pair exactly with the monomial weights
-    2**n n! / nu**n.  Callables are integrated against the normalized
-    bicomplex Gaussian with a tensor rule of the given ``order``.
+    Coefficient vectors pair exactly as sum_n u_n (v_n)* on their e_n
+    coordinates, which is sum_n A_n (B_n)* 2**n n! / nu**n on the raw
+    coefficients.  Callables are integrated against the normalized bicomplex
+    Gaussian with a tensor rule of the given ``order``.
     """
-    f_vec = isinstance(f, MonomialCoeffVector)
-    g_vec = isinstance(g, MonomialCoeffVector)
-    if f_vec and g_vec:
-        if abs(f.nu - g.nu) > 1e-12:
-            raise DimensionMismatch(f"nu mismatch: {f.nu} vs {g.nu}")
-        # pair A_n / r_n, as norm_sq does
-        return _pairwise_inner(f.coeffs, g.coeffs, _scale(min(f.degree, g.degree), 2.0 / f.nu))
-    nv = nu
-    if nv is None:
-        nv = f.nu if f_vec else (g.nu if g_vec else None)
-    if nv is None:
-        raise DimensionMismatch("nu is required when both operands are callables")
-    fe = f.evaluate if f_vec else f
-    ge = g.evaluate if g_vec else g
-    rule = gauss_hermite(order, nv / 2.0)
-    val = integrate_bicomplex(
-        lambda Z: bc_inner(as_bicomplex(fe(Z)), as_bicomplex(ge(Z))),
-        nv,
-        rule,
-        vectorized=vectorized,
-    )
-    return normalization_c("BC", nv) * val
+
+    def integrate(h, n):
+        rule = gauss_hermite(order, n / 2.0)
+        return integrate_bicomplex(h, n, rule, vectorized=vectorized) * normalization_c("BC", n)
+
+    return _inner(MonomialCoeffVector, f, g, nu, integrate)
 
 
 def project_P(
@@ -282,15 +310,6 @@ def project_P(
     return normalization_c("BC", nu) * val
 
 
-@_fails_closed
-def eval_monomial_series(f: MonomialCoeffVector, Z: Bicomplex) -> Bicomplex:
-    """Evaluate sum_n A_n Z**n by channelwise Horner recursion; a value
-    outside float range raises NonFiniteError."""
-    Z = as_bicomplex(Z)
-    c = f.coeffs
-    return Bicomplex.from_channels(np.polyval(c.alpha[::-1], Z.alpha), np.polyval(c.beta[::-1], Z.beta))
-
-
 def idempotent_split_F(f: MonomialCoeffVector) -> tuple[list[complex], list[complex]]:
-    """Channel coefficient lists (alpha side, beta side) of a holomorphic vector."""
+    """Raw channel coefficient lists (alpha side, beta side) of a holomorphic vector."""
     return f.coeffs.alpha.tolist(), f.coeffs.beta.tolist()

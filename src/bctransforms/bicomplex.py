@@ -87,8 +87,8 @@ def _require_finite(value, message: str):
 
 def _fails_closed(fn):
     """Run ``fn`` with numpy's warnings off; a Python OverflowError inside it, or a
-    non-finite number, array, Bicomplex or coefficient vector (through its ``coeffs``)
-    returned, raises NonFiniteError.  Not for functions that call a user callable."""
+    non-finite number, array or Bicomplex returned, raises NonFiniteError.  Not for
+    functions that call a user callable."""
     message = f"{fn.__qualname__} is outside float range"
 
     @functools.wraps(fn)
@@ -98,8 +98,7 @@ def _fails_closed(fn):
                 out = fn(*args, **kwargs)
             except OverflowError as err:
                 raise NonFiniteError(message) from err
-        _require_finite(getattr(out, "coeffs", out), message)
-        return out
+        return _require_finite(out, message)
 
     return wrapper
 
@@ -189,12 +188,15 @@ class Bicomplex:
 
     @property
     def z1(self):
-        # halve before adding: exact, and finite for channels near the float maximum
-        return self.alpha / 2 + self.beta / 2
+        # halve before adding: exact, and finite for channels near the float maximum;
+        # a non-finite channel gives its IEEE result without a numpy warning
+        with np.errstate(invalid="ignore"):
+            return self.alpha / 2 + self.beta / 2
 
     @property
     def z2(self):
-        return 0.5j * self.alpha - 0.5j * self.beta
+        with np.errstate(invalid="ignore"):
+            return 0.5j * self.alpha - 0.5j * self.beta
 
     x1 = property(lambda self: self.z1.real)
     y1 = property(lambda self: self.z1.imag)

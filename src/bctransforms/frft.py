@@ -206,7 +206,7 @@ def _mehler_guard(theta: Bicomplex) -> Bicomplex:
     th = as_bicomplex(theta)
     _check_not_excluded(th)
     if not (abs(th.alpha) <= 1.0 + _UNIT_TOL and abs(th.beta) <= 1.0 + _UNIT_TOL):
-        raise ValueError("Mehler kernel needs channel moduli <= 1")
+        raise ExcludedParameterError("Mehler kernel needs channel moduli <= 1")
     return th
 
 

@@ -12,9 +12,10 @@ three-term recurrence (B. Bunck, BIT 49, 2009)
 
 which never forms H_n or n!, and H_n = psi_n / r_n (both are checked against
 symbolic differentiation in the test suite).  Every weight comes from one
-ratio ladder r_n = r_{n-1} / sqrt(c n): at c = 2/nu it is the coefficient
-map psi_n -> r_n Z**n of the coherent-state transform, and 1/r_n**2 the
-squared norm of the monomial Z**n.  At sigma = 1 the same ladder gives the
+ratio ladder r_n = r_{n-1} / sqrt(c n): at c = 2/nu, r_n Z**n is the unit
+vector e_n that the coherent-state transform pairs with psi_n, r_n links a
+monomial vector's raw coefficients to its e_n coordinates, and 1/r_n**2 is
+the squared norm of Z**n.  At sigma = 1 the psi ladder gives the
 Gauss-Hermite weights sqrt(pi) / sum_{k<n} psi_k(t_i)**2 in ``quadrature``.
 
 Limits: Cramer's bound |psi_n(x)| < exp(sigma x**2 / 2) keeps psi_n finite
@@ -52,11 +53,17 @@ def _validate(n: int, sigma: float) -> None:
     _require_positive("sigma", sigma)
 
 
-def _scale(degree: int, c: float) -> np.ndarray:
-    """r_n = (c**n n!)**(-1/2), n = 0..degree, by r_n = r_{n-1} / sqrt(c n); outside the
-    normal float range it raises NonFiniteError (r_n rises, then falls: the last decides)."""
+def _ratios(degree: int, c: float) -> np.ndarray:
+    """r_n = (c**n n!)**(-1/2), n = 0..degree, by r_n = r_{n-1} / sqrt(c n); an r_n
+    outside float range underflows to 0 or overflows to inf."""
     with np.errstate(all="ignore"):
-        r = np.cumprod(np.concatenate(([1.0], 1.0 / np.sqrt(c * np.arange(1, degree + 1)))))
+        return np.cumprod(np.concatenate(([1.0], 1.0 / np.sqrt(c * np.arange(1, degree + 1)))))
+
+
+def _scale(degree: int, c: float) -> np.ndarray:
+    """The r_n of :func:`_ratios`; outside the normal float range it raises
+    NonFiniteError (r_n rises, then falls: the last decides)."""
+    r = _ratios(degree, c)
     if not np.finfo(float).tiny <= r[-1] < math.inf:
         raise NonFiniteError(f"(c**n n!)**(-1/2) at degree {degree}, c={c} is outside float range")
     return r

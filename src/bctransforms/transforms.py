@@ -1,9 +1,10 @@
 """Coherent-state transform between the weighted line and the holomorphic side.
 
-The forward transform maps psi_n to the monomial (nu**n / 2**n n!)**(1/2) Z**n,
-so on coefficients it is the diagonal map c_n -> c_n (nu**n / 2**n n!)**(1/2);
-that diagonal map is the primary data path, and the Gaussian-kernel integral
-form is retained as an independent oracle:
+The forward transform maps psi_n to e_n = r_n Z**n, r_n = (nu**n / 2**n n!)**(1/2),
+and both are orthonormal bases.  So on coefficient vectors, the primary data
+path, the transform keeps the coordinate array and changes only the weight
+parameter, in either direction.  The Gaussian-kernel integral forms are kept
+as independent oracles:
 
     forward:  c_0 * integral exp(-sigma (x - sqrt(nu/(4 sigma)) Z)**2) phi(x) dx
     inverse:  c_T * integral exp(-nu |Z|**2 - (nu/4)(Z*)**2
@@ -33,7 +34,7 @@ import numpy as np
 from .bicomplex import Bicomplex, _fails_closed, as_bicomplex, conj_star, exp as bc_exp
 from .bargmann import HermiteCoeffVector, MonomialCoeffVector, kernel_K_BC
 from .errors import _require_positive
-from .hermite import _scale, generating_G
+from .hermite import generating_G
 from .quadrature import (
     DEFAULT_ORDER,
     gauss_hermite,
@@ -82,17 +83,14 @@ def sbt_kernel_BC(sigma: float, nu: float, x: float, Z: Bicomplex) -> Bicomplex:
     return normalization_c(0, sigma) * bc_exp(-sigma * (D * D))
 
 
-@_fails_closed
 def sbt_forward(phi: HermiteCoeffVector, nu: float) -> MonomialCoeffVector:
-    """Diagonal coefficient map c_n -> c_n (nu**n / 2**n n!)**(1/2)."""
-    _require_positive("nu", nu)
-    return MonomialCoeffVector(nu, phi.coeffs * _scale(phi.degree, 2.0 / nu))
+    """Coefficient map psi_n -> e_n = r_n Z**n: the coordinates stay, the weight becomes nu."""
+    return MonomialCoeffVector._from_unit(nu, phi._unit)
 
 
-@_fails_closed
 def sbt_inverse_coeff(f: MonomialCoeffVector, sigma: float) -> HermiteCoeffVector:
-    """Inverse diagonal map A_n -> A_n (2**n n! / nu**n)**(1/2)."""
-    return HermiteCoeffVector(sigma, f.coeffs / _scale(f.degree, 2.0 / f.nu))
+    """Inverse coefficient map e_n -> psi_n: the coordinates stay, the weight becomes sigma."""
+    return HermiteCoeffVector._from_unit(sigma, f._unit)
 
 
 def sbt_forward_integral(

@@ -537,7 +537,7 @@ def _(p):
 
 @_case("bargmann/basis-norm-transport", 1e-12, "basis vectors keep unit norm across the coefficient map")
 def _(p):
-    # consistency of the two stored-norm conventions under the basis map
+    # both sides store coordinates in an orthonormal basis, and the map keeps them
     vec = HermiteCoeffVector.basis(5, p.sigma)
     yield abs(sbt_forward(vec, p.nu).norm_sq() - vec.norm_sq())
 

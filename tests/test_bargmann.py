@@ -270,15 +270,20 @@ class TestInnerProducts:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_H2nu_pairs_high_degrees_like_norm_sq(self):
-        # the weight 2**n n!/nu**n itself overflows from degree 171 at nu = 2
+        # r_n leaves the normal float range after degree 300 at nu = 2; the
+        # pairing and the norm read the e_n coordinates and never form it
         h = HermiteCoeffVector.from_json(
-            {"sigma": 1.0, "coeffs": np.random.default_rng(3).standard_normal((201, 4)).tolist()}
+            {"sigma": 1.0, "coeffs": np.random.default_rng(3).standard_normal((401, 4)).tolist()}
         )
         F = sbt_forward(h, 2.0)
         val = inner_H2nu(F, F)
         assert math.isfinite(val.z1.real)
         assert_allclose(val.z1.real, F.norm_sq(), rtol=1e-14)
         assert_allclose(val.z1.real, h.norm_sq(), rtol=1e-13)
+        # the raw form of such a vector is out of reach
+        with pytest.raises(NonFiniteError):
+            MonomialCoeffVector.basis(400, 2.0)
+        # the squared norm 200! of Z**200 itself overflows
         f = MonomialCoeffVector.basis(200, 2.0)
         with pytest.raises(NonFiniteError):
             inner_H2nu(f, f)

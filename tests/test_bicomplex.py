@@ -140,6 +140,15 @@ class TestConstruction:
         Z = Bicomplex(np.array([math.inf + 0j, 0.5 + 0j]), np.array([0j, 0.25j]))
         assert Z.alpha.tolist() == [math.inf, 0.75]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_components_of_non_finite_channels_read_without_warning(self):
+        # the components take their IEEE values, as for Python scalars
+        Z = Bicomplex(np.array([math.inf + 0j]), 0j)
+        assert repr(Z) == "Bicomplex(array([inf+nanj]), array([nan+nanj]))"
+        assert Z.x1.tolist() == [math.inf]
+        assert all(np.isnan(v).all() for v in (Z.y1, Z.x2, Z.y2))
+        assert repr(Bicomplex(math.inf, 0)) == "Bicomplex((inf+nanj), (nan+nanj))"
+
     def test_json_decodes_rows_to_array_value(self):
         Z = Bicomplex.from_json([[1.0, 2.0, 3.0, 4.0], [0.5, 0.0, -0.5, 0.25]])
         assert_allclose(Z.z1, [1 + 2j, 0.5])

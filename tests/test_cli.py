@@ -439,7 +439,8 @@ class TestMehler:
 
     def test_out_of_ball_theta(self, capsys):
         assert main(["mehler", "--theta", "1.5"]) == 2
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ExcludedParameterError: ") and "moduli <= 1" in err, err
 
 
 # (kind, call): a library call must raise ValueError (ExcludedParameterError

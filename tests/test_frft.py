@@ -280,9 +280,14 @@ def test_shared_guards(call, excluded, outside):
     with pytest.raises(ExcludedParameterError):
         call(SIGMA, excluded)
     if outside is not None:
-        with pytest.raises(ValueError, match="moduli <= 1") as info:
+        with pytest.raises(ExcludedParameterError, match="moduli <= 1"):
             call(SIGMA, outside)
-        assert info.type is ValueError
+
+
+@pytest.mark.parametrize("theta", [1.5, Bicomplex.from_channels(0.5, 1.0 + 1e-9), Bicomplex.from_channels(2j, 0.5)])
+def test_mehler_outside_closed_bidisc_is_excluded(theta):
+    with pytest.raises(ExcludedParameterError, match="moduli <= 1"):
+        mehler_closed(SIGMA, theta, 0.3, -0.2)
 
 
 class TestGaussianIntegral:

@@ -127,8 +127,8 @@ def test_int_beyond_float_range_fails_closed(name):
 BIG = Bicomplex(30.0, 0.0)
 TORUS = THETA.theta
 
-# each argument drives the exponent's real part past ~709, or a diagonal map's
-# coefficients past the float maximum
+# each argument drives the exponent's real part past ~709, or a monomial vector's
+# raw coefficients A_n = u_n r_n past the float maximum, read in or written out
 OVERFLOWING_KERNELS = {
     "kernel_K_C": lambda: kernel_K_C(2.0, 30.0, 30.0),
     "kernel_K_BC": lambda: kernel_K_BC(2.0, BIG, BIG),
@@ -142,7 +142,8 @@ OVERFLOWING_KERNELS = {
     "mehler_closed": lambda: mehler_closed(1.0, TORUS, 0.0, 40.0),
     "mehler_bilinear_bc": lambda: mehler_bilinear_bc(1.0, TORUS, Bicomplex(40.0, 0.0), 0.0),
     "sbt_inverse_coeff": lambda: sbt_inverse_coeff(MonomialCoeffVector(1e-300, [1e308, 1e308]), 1.0),
-    "sbt_forward": lambda: sbt_forward(HermiteCoeffVector(1.0, [1e308, 1e308]), 1e3),
+    "sbt_forward": lambda: sbt_forward(HermiteCoeffVector(1.0, [1e308, 1e308]), 1e3).coeffs,
+    "sbt_forward.to_json": lambda: sbt_forward(HermiteCoeffVector(1.0, [1e308, 1e308]), 1e3).to_json(),
 }
 
 
@@ -258,9 +259,10 @@ FAILS_CLOSED = {
     "MonomialCoeffVector.norm_sq": lambda d: MonomialCoeffVector(d.draw(_WEIGHT), d.draw(_ENTRIES)).norm_sq(),
     "inner_L2sigma": lambda d: inner_L2sigma(*_pair(HermiteCoeffVector, d)),
     "inner_H2nu": lambda d: inner_H2nu(*_pair(MonomialCoeffVector, d)),
+    # the raw coefficients of the image, which may leave float range
     "sbt_forward": lambda d: sbt_forward(
         HermiteCoeffVector(d.draw(_WEIGHT), d.draw(_ENTRIES)), d.draw(_WEIGHT)
-    ),
+    ).coeffs,
     "sbt_inverse_coeff": lambda d: sbt_inverse_coeff(
         MonomialCoeffVector(d.draw(_WEIGHT), d.draw(_ENTRIES)), d.draw(_WEIGHT)
     ),

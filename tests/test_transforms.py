@@ -24,6 +24,7 @@ from bctransforms import (
     sbt_kernel_C,
 )
 
+from bctransforms import verification
 from bctransforms.errors import NonFiniteError
 
 from conftest import assert_bc_close, rand_bc
@@ -67,13 +68,45 @@ class TestCoefficientMaps:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_weight_below_float_range_raises(self):
-        # r_n = (nu**n / (2**n n!))**(1/2) leaves the normal float range near
-        # degree 300 at nu = 2; the forward map returned zeros there
+        # r_n = (nu**n / (2**n n!))**(1/2) leaves the normal float range after
+        # degree 300 at nu = 2.  The maps keep the e_n coordinates and succeed
+        # there; reading raw coefficients A_n = u_n r_n in raises, and writing
+        # them out lets r_400 underflow to 0
         phi = HermiteCoeffVector.basis(400, SIGMA)
+        F = sbt_forward(phi, NU)
+        assert sbt_inverse_coeff(F, SIGMA).coeffs == phi.coeffs
+        assert F.norm_sq() == 1.0 and inner_H2nu(F, F) == Bicomplex(1.0 + 0j, 0j)
+        data = F.to_json()
+        assert data["coeffs"][400] == [0.0, 0.0, 0.0, 0.0]
         with pytest.raises(NonFiniteError):
-            sbt_forward(phi, NU)
+            MonomialCoeffVector.from_json(data)
         with pytest.raises(NonFiniteError):
-            sbt_inverse_coeff(MonomialCoeffVector.basis(400, NU), SIGMA)
+            MonomialCoeffVector(NU, F.coeffs)
+        with pytest.raises(NonFiniteError):
+            MonomialCoeffVector.basis(400, NU)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("degree", [1000, 5000])
+    def test_maps_keep_coordinates_past_the_raw_limit(self, degree):
+        rows = np.random.default_rng(degree).standard_normal((degree + 1, 4))
+        h = HermiteCoeffVector.from_json({"sigma": SIGMA, "coeffs": rows.tolist()})
+        F = sbt_forward(h, NU)
+        back = sbt_inverse_coeff(F, SIGMA)
+        assert back.coeffs == h.coeffs
+        assert_allclose(inner_H2nu(F, F).z1.real, h.norm_sq(), rtol=1e-13)
+        assert_allclose(F.norm_sq(), h.norm_sq(), rtol=1e-13)
+
+    @pytest.mark.parametrize("nu", [NU, 2.5])
+    def test_forward_wire_rows_match_exact_factorial(self, nu):
+        # the ratio ladder behind the raw rows against sqrt(nu**n / (2**n n!))
+        # from the exact factorial, to degree 150
+        rows = np.random.default_rng(150).standard_normal((151, 4))
+        F = sbt_forward(HermiteCoeffVector.from_json({"sigma": SIGMA, "coeffs": rows.tolist()}), nu)
+        want = rows * np.array([verification._basis_scale(n, nu) for n in range(151)])[:, None]
+        got = np.array(F.to_json()["coeffs"])
+        # a component is held to 1 ulp at the scale of its row
+        scale = np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
 
     def test_isometry_exact(self, rng):
         coeffs = tuple(Bicomplex.from_reals(*rng.standard_normal(4)) for _ in range(6))
