@@ -9,9 +9,10 @@ Subcommands:
     kernel     evaluate one of the closed-form kernels at a point
     mehler     tabulate closed-form vs series kernel error on a grid
 
-Exit codes: 0 all good, 1 a verification case failed, 2 configuration or
-input error (bad flags, schema violations, excluded parameters), printed as
-one line ``error: <message>``; an error raised by the library names its type.
+Vector and kernel results are one line of JSON with sorted keys.  Exit
+codes: 0 all good, 1 a verification case failed, 2 configuration or input
+error (bad flags, schema violations, excluded parameters), printed as one
+line ``error: <message>``; an error raised by the library names its type.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .frft import (
     mehler_closed,
     mehler_series,
 )
-from .hermite import generating_G
+from .hermite import _scale, generating_G
 from .transforms import sbt_forward, sbt_inverse_coeff, sbt_kernel_BC, sbt_kernel_C
 from .verification import SUITE_NAMES, run_suite
 
@@ -109,6 +110,11 @@ def _emit(payload: str, out: str | None) -> None:
         sys.stdout.write(payload)
 
 
+def _emit_json(obj: dict, out: str | None) -> None:
+    # one line with sorted keys; without indent CPython encodes in C
+    _emit(json.dumps(obj, sort_keys=True) + "\n", out)
+
+
 # ------------------------------------------------------------- subcommands
 
 
@@ -135,7 +141,11 @@ def _cmd_verify(args) -> int:
 
 def _emit_vector(vec, args) -> int:
     """Write ``{"vector": ...}``, plus ``"eval"`` at the --eval point when given:
-    a ring point x1,y1,x2,y2 for a monomial vector, a real point for a Hermite one."""
+    a ring point x1,y1,x2,y2 for a monomial vector, a real point for a Hermite one.
+    A monomial vector is held to the raw-coefficient range of ``from_json``:
+    past it its rows underflow to 0 and would not read back."""
+    if isinstance(vec, MonomialCoeffVector):
+        _scale(vec.degree, 2.0 / vec.nu)
     payload: dict = {"vector": vec.to_json()}
     if args.eval is not None:
         if isinstance(vec, MonomialCoeffVector):
@@ -144,7 +154,7 @@ def _emit_vector(vec, args) -> int:
         else:
             point = echo = _parse_floats(args.eval, 1, "--eval")[0]
         payload["eval"] = {"point": echo, "value": as_bicomplex(vec.evaluate(point)).to_json()}
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _emit_json(payload, args.out)
     return 0
 
 
@@ -200,7 +210,7 @@ def _cmd_kernel(args) -> int:
     fn, flags = _KERNELS[args.type]
     values, echoes = zip(*(_kernel_arg(args, flag) for flag in flags))
     meta = dict(zip(flags, echoes), type=args.type, value=as_bicomplex(fn(*values)).to_json())
-    _emit(json.dumps(meta, indent=2, sort_keys=True) + "\n", args.out)
+    _emit_json(meta, args.out)
     return 0
 
 

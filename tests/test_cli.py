@@ -11,9 +11,12 @@ from numpy.testing import assert_allclose
 
 from bctransforms import (
     Bicomplex,
+    HermiteCoeffVector,
+    MonomialCoeffVector,
     ThetaParam,
     as_bicomplex,
     ck_frft_kernel,
+    frft_coefficients,
     frft_kernel,
     generating_G,
     kernel_K_BC,
@@ -21,6 +24,8 @@ from bctransforms import (
     mehler_closed,
     mehler_series,
     norm,
+    sbt_forward,
+    sbt_inverse_coeff,
     sbt_kernel_BC,
     sbt_kernel_C,
 )
@@ -35,11 +40,19 @@ def write_vector(tmp_path, name, payload):
     return str(path)
 
 
+def one_json_line(text):
+    """The object of ``text``, which must be one line of compact sorted-key JSON."""
+    assert text.count("\n") == 1 and text.endswith("\n"), text
+    obj = json.loads(text)
+    assert text == json.dumps(obj, sort_keys=True) + "\n"
+    return obj
+
+
 def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     assert code == 0, out
-    return json.loads(out)
+    return one_json_line(out)
 
 
 BASIS1 = {"sigma": 1.0, "coeffs": [[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]}
@@ -301,6 +314,68 @@ KERNEL_FLAGS = {
     "W": (["--W", "0.1,-0.2,0.3,0.4"], _W, _W.to_json()),
     "theta": (["--theta-phases", "0.9,1.7"], _THETA, _THETA.theta.to_json()),
 }
+
+
+#: a degree-40 Hermite vector whose rows span twelve decades
+ROWS40 = {
+    "sigma": 1.3,
+    "coeffs": (np.random.default_rng(7).standard_normal((41, 4)) * np.logspace(-6, 6, 4)).tolist(),
+}
+
+
+class TestOutputForm:
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["transform", "--nu", "1.7"], lambda h: sbt_forward(h, 1.7)),
+            (["frft", "--theta-phases", "0.35,0.6"], lambda h: frft_coefficients(h, ThetaParam.from_phases(0.35, 0.6))),
+        ],
+        ids=["transform", "frft"],
+    )
+    def test_vector_is_the_library_payload(self, capsys, tmp_path, argv, want):
+        path = write_vector(tmp_path, "h.json", ROWS40)
+        data = run_json(capsys, argv[:1] + ["--input", path] + argv[1:])
+        assert data == {"vector": want(HermiteCoeffVector.from_json(ROWS40)).to_json()}
+
+    def test_round_trip_reencodes_the_library_rows_bit_for_bit(self, capsys, tmp_path):
+        # the C encoder writes each float as its shortest repr, as the library rows hold it
+        path = write_vector(tmp_path, "h.json", ROWS40)
+        assert main(["transform", "--input", path, "--nu", "1.7"]) == 0
+        fwd = capsys.readouterr().out
+        assert main(["transform", "--input", write_vector(tmp_path, "m.json", json.loads(fwd)), "--sigma", "1.3"]) == 0
+        back = capsys.readouterr().out
+        m = sbt_forward(HermiteCoeffVector.from_json(ROWS40), 1.7).to_json()
+        h = sbt_inverse_coeff(MonomialCoeffVector.from_json(m), 1.3).to_json()
+        assert fwd == json.dumps({"vector": m}, sort_keys=True) + "\n"
+        assert back == json.dumps({"vector": h}, sort_keys=True) + "\n"
+
+    def test_verify_report_keeps_its_indentation(self, capsys, tmp_path):
+        report = tmp_path / "report.json"
+        assert main(["verify", "--suite", "algebra", "--out", str(report)]) == 0
+        capsys.readouterr()
+        text = report.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_monomial_vector_past_the_wire_limit_is_refused(self, capsys, tmp_path, to_file):
+        # at nu = 2 the raw rows past degree 300 leave the normal float range, from
+        # degree 314 they underflow to 0, and transform --sigma refuses them on input
+        rows = np.random.default_rng(1).standard_normal((401, 4)).tolist()
+        path = write_vector(tmp_path, "h400.json", {"sigma": 1.0, "coeffs": rows})
+        out = tmp_path / "m400.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["transform", "--input", path, "--nu", "2"] + (["--out", str(out)] if to_file else []))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not out.exists()
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: NonFiniteError: "), captured.err
+
+    def test_monomial_vector_at_the_wire_limit_reads_back(self, capsys, tmp_path):
+        rows = [[1.0, 0.0, 0.0, 0.0]] * 301
+        path = write_vector(tmp_path, "h300.json", {"sigma": 1.0, "coeffs": rows})
+        fwd = run_json(capsys, ["transform", "--input", path, "--nu", "2"])
+        back = run_json(capsys, ["transform", "--input", write_vector(tmp_path, "m300.json", fwd), "--sigma", "1"])
+        assert_allclose(back["vector"]["coeffs"], rows, rtol=1e-12, atol=0)
 
 
 class TestKernel:
