@@ -4,7 +4,9 @@ A case is a generator of errors, registered where it is defined: add one as
 ``@_case(id, tol, desc)`` over ``def _(p): ... yield error``, where ``p``
 holds the run's parameters and the id prefix names the suite.  The runner
 reduces the errors with ``_worst``, a max that keeps NaN, so a NaN fails its
-case and a case that raises reads inf.  Errors are measured in the Euclidean
+case and a case that raises reads inf.  A case that samples draws all its
+samples at once and checks them as one array-valued Bicomplex, one
+``float(np.max(...))`` per check (np.max keeps a NaN too).  Errors are measured in the Euclidean
 bicomplex norm (or in ulps where noted).  Reports serialize to JSON and CSV;
 with a fixed seed the content is reproducible run to run, apart from the
 wall-time field.
@@ -28,7 +30,6 @@ from .bargmann import (
     MonomialCoeffVector,
     eval_monomial_series,
     inner_H2nu,
-    inner_L2sigma,
     kernel_K_BC,
     monomial_norm_sq,
     project_P,
@@ -40,6 +41,7 @@ from .errors import (
     ExcludedParameterError,
     NonFiniteError,
     NullConeError,
+    _require_positive,
 )
 from .frft import (
     ThetaParam,
@@ -60,6 +62,7 @@ from .hermite import (
     hermite_norm_sq,
     hermite_sigma,
     psi_n,
+    psi_values,
 )
 from .quadrature import (
     gauss_hermite,
@@ -140,12 +143,14 @@ class VerificationReport:
         return buf.getvalue()
 
     def write(self, json_path) -> None:
+        # encode both before opening either, so a report that cannot be encoded leaves no file
+        text, table = self.to_json(), self.to_csv()
         with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
+            fh.write(text)
         csv_path = str(json_path)
         csv_path = csv_path[: -len(".json")] + ".csv" if csv_path.endswith(".json") else csv_path + ".csv"
         with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv())
+            fh.write(table)
 
 
 @dataclass(frozen=True)
@@ -192,11 +197,48 @@ def _rand_bc_bounded(rng: np.random.Generator, radius: float) -> Bicomplex:
             return Z
 
 
+def _rand_bcs(rng: np.random.Generator, shape, scale=1.0) -> Bicomplex:
+    """One array value of ``shape`` samples; the same draws, in the same (C)
+    order, as that many calls of ``_rand_bc``.  ``scale`` broadcasts against
+    the reals, of shape ``(*shape, 4)``."""
+    x1, y1, x2, y2 = np.moveaxis(rng.standard_normal((*np.atleast_1d(shape), 4)) * scale, -1, 0)
+    return Bicomplex(x1 + 1j * y1, x2 + 1j * y2)
+
+
+def _rand_bcs_bounded(rng: np.random.Generator, n: int, radius: float) -> Bicomplex:
+    """``n`` samples of ``_rand_bc_bounded`` as one array value: each round
+    redraws, as one array, as many samples as are still missing."""
+    alpha = beta = np.empty(0, dtype=complex)
+    while alpha.size < n:
+        Z = _rand_bcs(rng, n - alpha.size, radius / 2.0)
+        inside = bc.norm(Z) <= radius
+        alpha, beta = np.concatenate((alpha, Z.alpha[inside])), np.concatenate((beta, Z.beta[inside]))
+    return Bicomplex.from_channels(alpha, beta)
+
+
 def _rand_coeffs(rng: np.random.Generator, degree: int) -> Bicomplex:
     """``degree + 1`` coefficients as one array value; the same draws, in the
     same order, as ``degree + 1`` calls of ``_rand_bc``."""
-    x1, y1, x2, y2 = rng.standard_normal((degree + 1, 4)).T
-    return Bicomplex(x1 + 1j * y1, x2 + 1j * y2)
+    return _rand_bcs(rng, degree + 1)
+
+
+def _padded_coeffs(rng: np.random.Generator, n: int, max_degree: int) -> tuple[np.ndarray, Bicomplex]:
+    """Degrees d_k drawn from 0..max_degree, then ``n`` coefficient rows of
+    length max_degree + 1, each zero past its d_k: ``n`` vectors stacked."""
+    degrees = rng.integers(0, max_degree + 1, n)
+    rows = _rand_bcs(rng, (n, max_degree + 1))
+    return degrees, rows * (np.arange(max_degree + 1) <= degrees[:, None])
+
+
+def _rowsum(rows: Bicomplex) -> Bicomplex:
+    """Sum over the last axis of an array value."""
+    return Bicomplex.from_channels(np.sum(rows.alpha, axis=-1), np.sum(rows.beta, axis=-1))
+
+
+def _power_sum(A: Bicomplex, Z: Bicomplex) -> Bicomplex:
+    """sum_n A[..., n] Z**n for coefficient rows ``A`` and points ``Z`` of shape A.shape[:-1]."""
+    n = np.arange(np.shape(A.alpha)[-1])
+    return _rowsum(A * Bicomplex.from_channels(Z.alpha[..., None] ** n, Z.beta[..., None] ** n))
 
 
 def _rand_hermite_vec(rng: np.random.Generator, degree: int, sigma: float) -> HermiteCoeffVector:
@@ -213,9 +255,9 @@ def _worst(*errors: float) -> float:
     return math.nan if any(map(math.isnan, errors)) else max(errors)
 
 
-def _rel(got: Bicomplex, want: Bicomplex) -> float:
-    """Bicomplex-norm error of ``got`` relative to ``want``."""
-    return bc.norm(got - want) / max(bc.norm(want), 1e-300)
+def _rel(got: Bicomplex, want: Bicomplex):
+    """Bicomplex-norm error of ``got`` relative to ``want``, pointwise for array values."""
+    return bc.norm(got - want) / np.maximum(bc.norm(want), 1e-300)
 
 
 def _rejects(error_type: type[Exception], call: Callable[[], object]) -> float:
@@ -233,11 +275,11 @@ def _basis_scale(n: int, nu: float) -> float:
     return math.sqrt(nu**n / (2.0**n * math.factorial(n)))
 
 
-def _raw_norm_sq(F: MonomialCoeffVector) -> float:
-    """sum_n |A_n|**2 2**n n! / nu**n on the raw coefficients A_n, by the
-    exact factorial: an oracle for the coordinate sum ``norm_sq``."""
-    scales = np.array([_basis_scale(n, F.nu) for n in range(F.degree + 1)])
-    return float(np.sum((bc.norm(F.coeffs) / scales) ** 2))
+def _raw_norm_sq(A: Bicomplex, nu: float):
+    """sum_n |A_n|**2 2**n n! / nu**n over the last axis of raw coefficients
+    A_n, by the exact factorial: an oracle for the coordinate sum ``norm_sq``."""
+    scales = np.array([_basis_scale(n, nu) for n in range(np.shape(A.alpha)[-1])])
+    return np.sum((bc.norm(A) / scales) ** 2, axis=-1)
 
 
 # ---------------------------------------------------------------- algebra
@@ -271,63 +313,55 @@ def _(p):
 
 @_case("algebra/conjugations", 0.0, "all three conjugations are multiplicative involutions")
 def _(p):
-    rng = _rng(p)
-    for _ in range(200):
-        Z, W = _rand_bc(rng), _rand_bc(rng)
-        for conj in (bc.conj_dagger, bc.conj_tilde, bc.conj_star):
-            yield bc.norm(conj(conj(Z)) - Z)
-            yield bc.norm(conj(Z * W) - conj(Z) * conj(W))
+    ZW = _rand_bcs(_rng(p), (200, 2))
+    Z, W = ZW[:, 0], ZW[:, 1]
+    for conj in (bc.conj_dagger, bc.conj_tilde, bc.conj_star):
+        yield float(np.max(bc.norm(conj(conj(Z)) - Z)))
+        yield float(np.max(bc.norm(conj(Z * W) - conj(Z) * conj(W))))
 
 @_case("algebra/mul-channelwise", 0.0, "product agrees with channelwise product of the decompositions")
 def _(p):
-    rng = _rng(p)
-    for _ in range(200):
-        Z, W = _rand_bc(rng), _rand_bc(rng)
-        pair = bc.to_idempotent(Z) * bc.to_idempotent(W)
-        yield bc.norm(Z * W - pair.to_bicomplex())
+    ZW = _rand_bcs(_rng(p), (200, 2))
+    Z, W = ZW[:, 0], ZW[:, 1]
+    pair = bc.to_idempotent(Z) * bc.to_idempotent(W)
+    yield float(np.max(bc.norm(Z * W - pair.to_bicomplex())))
 
 @_case("algebra/norm-identity", 1e-14, "norm^2 = (|alpha|^2+|beta|^2)/2 = scalar part of <Z,Z>")
 def _(p):
     rng = _rng(p)
-    for _ in range(500):
-        Z = _rand_bc(rng, 10.0 ** rng.uniform(-2, 2))
-        pair = bc.to_idempotent(Z)
-        lhs = bc.norm(Z) ** 2
-        rhs = (abs(pair.alpha) ** 2 + abs(pair.beta) ** 2) / 2.0
-        yield abs(lhs - rhs) / max(lhs, 1e-300)
-        yield abs(bc_inner(Z, Z).z1.real - lhs) / max(lhs, 1e-300)
+    scale = 10.0 ** rng.uniform(-2, 2, 500)
+    Z = _rand_bcs(rng, 500, scale[:, None])
+    pair = bc.to_idempotent(Z)
+    lhs = bc.norm(Z) ** 2
+    rhs = (abs(pair.alpha) ** 2 + abs(pair.beta) ** 2) / 2.0
+    yield float(np.max(abs(lhs - rhs) / np.maximum(lhs, 1e-300)))
+    yield float(np.max(abs(bc_inner(Z, Z).z1.real - lhs) / np.maximum(lhs, 1e-300)))
 
 @_case("algebra/schwarz", 1e-12, "generalized Schwarz bound |<f,g>| <= sqrt(2) ||f|| ||g||")
 def _(p):
+    # 300 pairs of psi_n coordinate rows of degree 0..7, zero-padded to 8
     rng = _rng(p)
-    for _ in range(300):
-        f = _rand_hermite_vec(rng, int(rng.integers(0, 8)), p.sigma)
-        g = _rand_hermite_vec(rng, int(rng.integers(0, 8)), p.sigma)
-        lhs = bc.norm(inner_L2sigma(f, g))
-        rhs = math.sqrt(2.0 * f.norm_sq() * g.norm_sq())
-        yield (lhs - rhs) / max(rhs, 1e-300)
+    (_, F), (_, G) = _padded_coeffs(rng, 300, 7), _padded_coeffs(rng, 300, 7)
+    lhs = bc.norm(_rowsum(bc_inner(F, G)))
+    rhs = np.sqrt(2.0 * np.sum(bc.norm(F) ** 2, axis=-1) * np.sum(bc.norm(G) ** 2, axis=-1))
+    yield float(np.max((lhs - rhs) / np.maximum(rhs, 1e-300)))
 
 @_case("algebra/inverse", 1e-12, "Z * Z^-1 = 1 off the null cone; zero divisors are rejected")
 def _(p):
-    rng = _rng(p)
-    for _ in range(200):
-        Z = _rand_bc(rng)
-        if Z.is_null(1e-6):
-            continue
-        yield bc.norm(Z * bc.inverse(Z) - bc.ONE)
+    Z = _rand_bcs(_rng(p), 200)
+    Z = Z[np.minimum(abs(Z.alpha), abs(Z.beta)) > 1e-6]  # inverse refuses an array with a null point
+    yield float(np.max(bc.norm(Z * bc.inverse(Z) - bc.ONE)))
     yield _rejects(NullConeError, lambda: bc.inverse(bc.E_PLUS))
     yield 0.0 if bc.is_null_cone(bc.E_PLUS) and not bc.is_null_cone(bc.ONE) else math.inf
 
 @_case("algebra/exp-pow-sqrt", 1e-12, "exp is additive, pow matches repeated product, sqrt squares back; branch cut rejected")
 def _(p):
-    rng = _rng(p)
-    for _ in range(200):
-        Z, W = _rand_bc(rng, 0.8), _rand_bc(rng, 0.8)
-        yield _rel(bc.exp(Z + W), bc.exp(Z) * bc.exp(W))
-        yield bc.norm(bc.pow(Z, 5) - Z * Z * Z * Z * Z) / max(bc.norm(Z) ** 5, 1e-300)
-        Q = bc.ONE + _rand_bc(rng, 0.3)
-        R = bc.sqrt_principal(Q)
-        yield _rel(R * R, Q)
+    ZWQ = _rand_bcs(_rng(p), (200, 3), np.array([0.8, 0.8, 0.3])[:, None])
+    Z, W, Q = ZWQ[:, 0], ZWQ[:, 1], bc.ONE + ZWQ[:, 2]
+    yield float(np.max(_rel(bc.exp(Z + W), bc.exp(Z) * bc.exp(W))))
+    yield float(np.max(bc.norm(bc.pow(Z, 5) - Z * Z * Z * Z * Z) / np.maximum(bc.norm(Z) ** 5, 1e-300)))
+    R = bc.sqrt_principal(Q)
+    yield float(np.max(_rel(R * R, Q)))
     yield _rejects(BranchCutError, lambda: bc.sqrt_principal(Bicomplex(-1.0 + 0j, 0j)))
 
 
@@ -346,23 +380,18 @@ _EXPLICIT_H = (
 
 @_case("hermite/recurrence-vs-explicit", 1e-12, "recurrence matches the expanded derivative polynomials for n <= 6")
 def _(p):
+    x = np.linspace(-2.0, 2.0, 9)
     for s in (p.sigma, 0.5, 2.0):
-        for x in np.linspace(-2.0, 2.0, 9):
-            for n, ref in enumerate(_EXPLICIT_H):
-                val = hermite_sigma(n, s, float(x))
-                expect = ref(s, float(x))
-                yield abs(val - expect) / max(abs(expect), 1.0)
+        for n, ref in enumerate(_EXPLICIT_H):
+            expect = ref(s, x)
+            yield float(np.max(abs(hermite_sigma(n, s, x) - expect) / np.maximum(abs(expect), 1.0)))
 
 @_case("hermite/orthonormality", 1e-10, "psi_m, psi_n orthonormal under the weighted pairing for m, n <= 12")
 def _(p):
     rule = gauss_hermite(p.order, p.sigma)
-    c0 = normalization_c(0, p.sigma)
-    for m in range(13):
-        for n in range(m, 13):
-            val = c0 * float(
-                np.sum(rule.weights * psi_n(m, p.sigma, rule.nodes) * psi_n(n, p.sigma, rule.nodes))
-            )
-            yield abs(val - (1.0 if m == n else 0.0))
+    psi = np.array(psi_values(12, p.sigma, rule.nodes))
+    gram = normalization_c(0, p.sigma) * ((psi * rule.weights) @ psi.T)
+    yield float(np.max(abs(gram - np.eye(13))))
 
 @_case("hermite/norm-formula", 1e-12, "quadrature norm of H_n matches 2^n sigma^n n!")
 def _(p):
@@ -490,10 +519,9 @@ def _(p):
 
 @_case("bargmann/kernel-symmetry", 1e-14, "K(Z,W) equals the star conjugate of K(W,Z)")
 def _(p):
-    rng = _rng(p)
-    for _ in range(50):
-        Z, W = _rand_bc(rng), _rand_bc(rng)
-        yield _rel(conj_star(kernel_K_BC(p.nu, W, Z)), kernel_K_BC(p.nu, Z, W))
+    ZW = _rand_bcs(_rng(p), (50, 2))
+    Z, W = ZW[:, 0], ZW[:, 1]
+    yield float(np.max(_rel(conj_star(kernel_K_BC(p.nu, W, Z)), kernel_K_BC(p.nu, Z, W))))
 
 @_case("bargmann/kernel-expansion", 1e-10, "40-term basis expansion of the kernel matches the closed form")
 def _(p):
@@ -509,14 +537,14 @@ def _(p):
 
 @_case("bargmann/pointwise-bound", 1e-12, "|f(Z)| <= sqrt(2) |exp(nu/4 Z Z*)| ||f||")
 def _(p):
+    # 100 raw coefficient rows of degree 0..6, zero-padded to 7, each at its own point
     rng = _rng(p)
-    for _ in range(100):
-        f = _rand_monomial_vec(rng, int(rng.integers(0, 7)), p.nu)
-        Z = _rand_bc_bounded(rng, 1.5)
-        lhs = bc.norm(eval_monomial_series(f, Z))
-        growth = bc.norm(bc.exp((0.25 * p.nu) * (Z * conj_star(Z))))
-        rhs = math.sqrt(2.0) * growth * math.sqrt(f.norm_sq())
-        yield (lhs - rhs) / max(rhs, 1e-300)
+    _, A = _padded_coeffs(rng, 100, 6)
+    Z = _rand_bcs_bounded(rng, 100, 1.5)
+    lhs = bc.norm(_power_sum(A, Z))
+    growth = bc.norm(bc.exp((0.25 * p.nu) * (Z * conj_star(Z))))
+    rhs = math.sqrt(2.0) * growth * np.sqrt(_raw_norm_sq(A, p.nu))
+    yield float(np.max((lhs - rhs) / np.maximum(rhs, 1e-300)))
 
 @_case("bargmann/parseval", 1e-10, "coefficient norm matches the ring quadrature norm")
 def _(p):
@@ -545,7 +573,8 @@ def _(p):
 @_case("bargmann/basis-norm-transport", 1e-12, "basis vectors keep unit norm across the coefficient map")
 def _(p):
     vec = HermiteCoeffVector.basis(5, p.sigma)
-    yield abs(_raw_norm_sq(sbt_forward(vec, p.nu)) - vec.norm_sq())
+    F = sbt_forward(vec, p.nu)
+    yield abs(_raw_norm_sq(F.coeffs, F.nu) - vec.norm_sq())
 
 
 # --------------------------------------------------------------- transform
@@ -565,10 +594,9 @@ def _(p):
 
 @_case("transform/isometry", 1e-10, "the coefficient map preserves the norm on degree <= 10 vectors")
 def _(p):
-    rng = _rng(p)
-    for _ in range(50):
-        f = _rand_hermite_vec(rng, 10, p.sigma)
-        yield abs(_raw_norm_sq(sbt_forward(f, p.nu)) - f.norm_sq()) / f.norm_sq()
+    for coeffs in _rand_bcs(_rng(p), (50, 11)):
+        f = HermiteCoeffVector(p.sigma, coeffs)
+        yield abs(_raw_norm_sq(sbt_forward(f, p.nu).coeffs, p.nu) - f.norm_sq()) / f.norm_sq()
 
 @_case("transform/integral-vs-coeff", 1e-8, "quadrature forward transform matches the diagonal coefficient map")
 def _(p):
@@ -583,9 +611,8 @@ def _(p):
 
 @_case("transform/roundtrip-coeff", 1e-13, "inverse coefficient map undoes the forward map")
 def _(p):
-    rng = _rng(p)
-    for _ in range(20):
-        f = _rand_hermite_vec(rng, 12, p.sigma)
+    for coeffs in _rand_bcs(_rng(p), (20, 13)):
+        f = HermiteCoeffVector(p.sigma, coeffs)
         wire = sbt_forward(f, p.nu).to_json()  # the raw coefficients, as the CLI writes them
         back = sbt_inverse_coeff(MonomialCoeffVector.from_json(wire), p.sigma)
         yield float(np.max(bc.norm(back.coeffs - f.coeffs)))
@@ -694,10 +721,10 @@ def _(p):
 
 @_case("frft/plancherel", 1e-9, "unit-torus rotation preserves the norm on degree <= 8 vectors")
 def _(p):
-    rng = _rng(p)
-    for theta in _thetas(p):
-        for _ in range(10):
-            f = _rand_hermite_vec(rng, 8, p.sigma)
+    thetas = _thetas(p)
+    for theta, rows in zip(thetas, _rand_bcs(_rng(p), (len(thetas), 10, 9))):
+        for coeffs in rows:
+            f = HermiteCoeffVector(p.sigma, coeffs)
             g = frft_coefficients(f, theta)
             yield abs(g.norm_sq() - f.norm_sq()) / f.norm_sq()
 
@@ -740,10 +767,9 @@ def _(p):
     for _ in range(3):
         f = _rand_hermite_vec(rng, 6, p.sigma)
         F = sbt_forward(f, p.nu)
-        dilated = MonomialCoeffVector(
-            nu=p.nu,
-            coeffs=tuple(bc.pow(theta.theta, n) * c for n, c in enumerate(F.coeffs)),
-        )
+        n = np.arange(F.degree + 1)
+        theta_n = Bicomplex.from_channels(theta.theta.alpha ** n, theta.theta.beta ** n)
+        dilated = MonomialCoeffVector(p.nu, theta_n * F.coeffs)
         for x in (0.0, 0.7, -0.7):
             lhs = frft_apply(f.evaluate, theta, x, sigma=p.sigma, order=_frft_order(p))
             rhs = sbt_inverse_integral(
@@ -843,13 +869,12 @@ def _(p):
     # exp(sqrt(2 n) |Im|), so the ring argument stays small for the
     # 60-term tail to clear the tolerance
     rng = _rng(p)
+    y = np.array([-0.8, 0.3, 1.1])
     for theta in _INTERIOR_THETAS[:4]:
         Z = _rand_bc_bounded(rng, 0.5)
-        for y in (-0.8, 0.3, 1.1):
-            yield bc.norm(
-                mehler_bilinear_bc(p.sigma, theta, Z, y)
-                - mehler_bilinear_series(p.sigma, theta, Z, y, n_terms=60)
-            )
+        closed = mehler_bilinear_bc(p.sigma, theta, Z, y)
+        series = mehler_bilinear_series(p.sigma, theta, Z, y, n_terms=60)
+        yield float(np.max(bc.norm(closed - series)))
 
 @_case("mehler/torus-kernel-relation", 1e-12, "rotation kernel = c_0 exp(-sigma x^2) times the closed Mehler sum")
 def _(p):
@@ -903,9 +928,17 @@ def run_suite(
     seed: int = 20240817,
     theta: ThetaParam | None = None,
 ) -> VerificationReport:
-    """Run one named suite (or "all") and return its report."""
+    """Run one named suite (or "all") and return its report.  Before any case
+    runs, a sigma or nu that is not positive and finite, an order that is not
+    an int >= 1 or a seed that is not an int >= 0 raises DomainError."""
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
+    _require_positive("sigma", sigma)
+    _require_positive("nu", nu)
+    for name, value, least in (("order", order, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise DomainError(f"{name} must be an int >= {least}, got {value!r}")
+    order, seed = int(order), int(seed)  # a numpy int, as a Python int the report can encode
     params = _Params(sigma=sigma, nu=nu, order=order, seed=seed, theta=theta)
     results = [_run_case(c, params) for c in _CASES if suite == "all" or c.id.startswith(suite + "/")]
     report_params = {"sigma": sigma, "nu": nu, "order": order, "seed": seed}

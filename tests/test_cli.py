@@ -130,6 +130,26 @@ class TestVerify:
         case = cases["mehler/closed-vs-series"]
         assert case["error"] is None and case["status"] == "fail" and case["pass"] is False
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--suite", "algebra", "--order", "0"],
+            ["--suite", "algebra", "--nu", "nan"],
+            ["--suite", "all", "--seed", "-1"],
+            ["--suite", "algebra", "--nu", "nan", "--out", "r.json"],
+            ["--suite", "algebra", "--sigma", "inf", "--out", "r.json"],
+        ],
+        ids=["order-0", "nu-nan", "seed-negative", "nu-nan-out", "sigma-inf-out"],
+    )
+    def test_bad_parameters_exit_2_before_any_case(self, capsys, monkeypatch, tmp_path, argv):
+        # no case runs, no PASS/FAIL line is printed and no report file is left
+        monkeypatch.chdir(tmp_path)
+        code = main(["verify"] + argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: DomainError: "), captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_underresolved_order_fails_cases(self, capsys):
         # 4 nodes cannot integrate the degree-24 orthonormality products
         code = main(["verify", "--suite", "hermite", "--order", "4"])
