@@ -246,19 +246,19 @@ def inner_L2sigma(
     sigma: float | None = None,
     *,
     order: int = DEFAULT_ORDER,
-    vectorized: bool = False,
+    vectorized: bool = True,
 ) -> Bicomplex:
     """Weighted-line inner product, conjugate-linear in ``g``.
 
     Coefficient vectors pair exactly as sum_n c_n (d_n)*.  If either side is
     a callable the product is integrated against the probability-normalized
     Gaussian; ``sigma`` must then be supplied (or be carried by the other
-    operand).  Callables must broadcast over node arrays when
-    ``vectorized=True``.
+    operand).  Callables must broadcast over node arrays; ``vectorized`` is
+    accepted for compatibility only.
     """
 
     def integrate(h, s):
-        return integrate_real(h, gauss_hermite(order, s), vectorized=vectorized) * normalization_c(0, s)
+        return integrate_real(h, gauss_hermite(order, s)) * normalization_c(0, s)
 
     return _inner(HermiteCoeffVector, f, g, sigma, integrate)
 
@@ -269,19 +269,20 @@ def inner_H2nu(
     nu: float | None = None,
     *,
     order: int = DEFAULT_BC_ORDER,
-    vectorized: bool = False,
+    vectorized: bool = True,
 ) -> Bicomplex:
     """Holomorphic-side inner product, conjugate-linear in ``g``.
 
     Coefficient vectors pair exactly as sum_n u_n (v_n)* on their e_n
     coordinates, which is sum_n A_n (B_n)* 2**n n! / nu**n on the raw
     coefficients.  Callables are integrated against the normalized bicomplex
-    Gaussian with a tensor rule of the given ``order``.
+    Gaussian with a tensor rule of the given ``order``; ``vectorized`` is
+    accepted for compatibility only.
     """
 
     def integrate(h, n):
         rule = gauss_hermite(order, n / 2.0)
-        return integrate_bicomplex(h, n, rule, vectorized=vectorized) * normalization_c("BC", n)
+        return integrate_bicomplex(h, n, rule) * normalization_c("BC", n)
 
     return _inner(MonomialCoeffVector, f, g, nu, integrate)
 
@@ -292,13 +293,14 @@ def project_P(
     Z: Bicomplex,
     *,
     order: int = DEFAULT_BC_ORDER,
-    vectorized: bool = False,
+    vectorized: bool = True,
 ) -> Bicomplex:
     """Reproducing projection of ``f`` evaluated at ``Z``.
 
     Integrates kernel_K_BC(nu, Z, W) f(W) against the normalized bicomplex
     Gaussian in W.  Holomorphic polynomials are reproduced; components
-    conjugate-holomorphic in W are annihilated.
+    conjugate-holomorphic in W are annihilated.  ``vectorized`` is accepted
+    and ignored.
     """
     Z = as_bicomplex(Z)
     rule = gauss_hermite(order, nu / 2.0)
@@ -306,7 +308,7 @@ def project_P(
     def integrand(W: Bicomplex) -> Bicomplex:
         return kernel_K_BC(nu, Z, W) * as_bicomplex(f(W))
 
-    val = integrate_bicomplex(integrand, nu, rule, vectorized=vectorized)
+    val = integrate_bicomplex(integrand, nu, rule)
     return normalization_c("BC", nu) * val
 
 

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the weight-parameter guard."""
+"""Exception types shared across the package, and the parameter guards."""
 
 import sys
+from numbers import Integral, Real
 
 
 class BCTransformsError(Exception):
@@ -40,6 +41,14 @@ class DimensionMismatch(BCTransformsError, ValueError):
 
 def _require_positive(name: str, value) -> None:
     """Raise DomainError unless 0 < ``value`` <= the largest float; NaN, inf and
-    an int beyond float range fail."""
-    if not 0 < value <= sys.float_info.max:
+    an int beyond float range and a value that is not a real number fail."""
+    if not (isinstance(value, Real) and 0 < value <= sys.float_info.max):
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _require_int(name: str, value, least: int) -> int:
+    """Return ``value`` as a Python int if it is an int (numpy ints included,
+    bools not) >= ``least``; otherwise raise DomainError."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise DomainError(f"{name} must be an int >= {least}, got {value!r}")
+    return int(value)

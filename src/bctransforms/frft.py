@@ -170,7 +170,7 @@ def frft_apply(
     A HermiteCoeffVector goes through the exact coefficient path.  A callable
     is integrated against the kernel with rule weight sigma/2 and the
     residual exp(+(sigma/2) x**2) folded into the exponent; ``sigma`` is then
-    required.
+    required.  ``vectorized`` is accepted for compatibility only.
     """
     if isinstance(psi, HermiteCoeffVector):
         return frft_coefficients(psi, theta).evaluate(y)
@@ -182,7 +182,7 @@ def frft_apply(
     def integrand(x):
         return bc_exp(_exponent(S, th, x, y) + (0.5 * sigma) * x**2) * as_bicomplex(psi(x))
 
-    val = integrate_real(integrand, rule, vectorized=vectorized)
+    val = integrate_real(integrand, rule)
     return (normalization_c(0, sigma) * pref) * val
 
 
@@ -195,11 +195,12 @@ def frft_inverse(
     order: int = DEFAULT_ORDER,
     vectorized: bool = True,
 ) -> Bicomplex:
-    """Apply the rotation by conj_star(theta); inverts frft_apply on the torus."""
+    """Apply the rotation by conj_star(theta); inverts frft_apply on the torus.
+    ``vectorized`` is accepted for compatibility only."""
     if theta.mode != "unit_torus":
         raise ExcludedParameterError("inversion by conjugate rotation needs unit-torus theta")
     inv = ThetaParam(conj_star(theta.theta), mode=theta.mode)
-    return frft_apply(psi, inv, x, sigma=sigma, order=order, vectorized=vectorized)
+    return frft_apply(psi, inv, x, sigma=sigma, order=order)
 
 
 def _mehler_guard(theta: Bicomplex) -> Bicomplex:

@@ -16,6 +16,7 @@ accurate in relative terms to the smallest tail weight.  The gamma = 1 rule is
 cached and rescaled exactly, so rules at different gamma share node/weight
 ratios to machine precision.
 
+Every integrator calls its integrand on arrays of nodes, so it must broadcast.
 Integrands whose Gaussian decay differs from the rule's weight must fold the
 residual exponential into ``f``; callers in this package always build rules
 with gamma equal to the slowest decay rate actually present.
@@ -31,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .bicomplex import Bicomplex, _fails_closed, _require_finite, as_bicomplex
-from .errors import ConvergenceError, DomainError, _require_positive
+from .errors import BCTransformsError, ConvergenceError, DomainError, _require_int, _require_positive
 from .hermite import _ladder
 
 __all__ = [
@@ -54,7 +55,7 @@ DEFAULT_ORDER = 64
 #: near machine precision at this size
 DEFAULT_BC_ORDER = 24
 
-#: grid points per integrand call on the vectorized ring path: large enough
+#: grid points per integrand call on the ring grid: large enough
 #: that Python call overhead vanishes, small enough that the integrand's
 #: temporaries stay in cache (the whole grid in one call was measured slower
 #: and tens of MB heavier)
@@ -77,8 +78,6 @@ class QuadratureRule:
 @functools.lru_cache(maxsize=None)
 def _standard_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite rule for exp(-t**2): Jacobi-matrix nodes, Christoffel weights."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
     k = np.arange(1, order)
     jacobi = np.diag(np.sqrt(k / 2.0), 1)
     jacobi += jacobi.T
@@ -99,9 +98,10 @@ def _standard_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gauss_hermite(order: int, gamma: float = 1.0) -> QuadratureRule:
-    """Build an ``order``-point rule for the weight exp(-gamma t**2), gamma > 0."""
+    """Build an ``order``-point rule for the weight exp(-gamma t**2), gamma > 0.
+    An order that is not an int >= 1 raises DomainError."""
     _require_positive("gamma", gamma)
-    nodes, weights = _standard_rule(order)
+    nodes, weights = _standard_rule(_require_int("order", order, 1))
     scale = math.sqrt(gamma)
     out_nodes = nodes / scale
     out_weights = weights / scale
@@ -113,28 +113,30 @@ def gauss_hermite(order: int, gamma: float = 1.0) -> QuadratureRule:
 _NONFINITE_INTEGRAND = "integrand produced a non-finite value at a quadrature node"
 
 
-def _weighted_sum(f: Callable, points: np.ndarray | Bicomplex, weights: np.ndarray, vectorized: bool) -> Bicomplex:
-    """Sum ``weights * f(points)``: one call on the whole array, or one call per point."""
-    if vectorized:
+def _weighted_sum(f: Callable, points, total: Callable) -> tuple[Bicomplex, complex, complex]:
+    """The one place an integrand is called: ``f`` on ``points`` (the node array
+    or a block of the ring grid), each checked channel reduced by ``total``.
+    An integrand that does not broadcast raises DomainError; a non-finite
+    value, NonFiniteError; a BCTransformsError raised in ``f`` keeps its type."""
+    try:
         values = _require_finite(as_bicomplex(f(points)), _NONFINITE_INTEGRAND)
-        return Bicomplex.from_channels(complex(np.sum(weights * values.alpha)), complex(np.sum(weights * values.beta)))
-    acc_a = acc_b = 0j
-    for t, w in zip(points.tolist(), weights.tolist()):
-        v = as_bicomplex(f(t))
-        acc_a += w * v.alpha
-        acc_b += w * v.beta
-    return _require_finite(Bicomplex.from_channels(acc_a, acc_b), _NONFINITE_INTEGRAND)
+        return values, complex(total(values.alpha)), complex(total(values.beta))
+    except BCTransformsError:
+        raise
+    except (TypeError, ValueError) as err:
+        raise DomainError("the integrand must broadcast over an array of nodes") from err
 
 
 def integrate_real(
-    f: Callable, rule: QuadratureRule, *, vectorized: bool = False
+    f: Callable, rule: QuadratureRule, *, vectorized: bool = True
 ) -> Bicomplex:
     """Approximate integral f(t) exp(-gamma t**2) dt with ``rule``.
 
-    ``f`` may return scalars or Bicomplex values.  With ``vectorized=True``
-    it is called once on the whole node array and must broadcast.
+    ``f``, called once on the node array, must broadcast and may return scalars
+    or Bicomplex values; ``vectorized`` is accepted for compatibility only.
     """
-    return _weighted_sum(f, rule.nodes, rule.weights, vectorized)
+    _, a, b = _weighted_sum(f, rule.nodes, lambda v: np.sum(rule.weights * v))
+    return Bicomplex.from_channels(a, b)
 
 
 def _complex_grid(rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
@@ -146,15 +148,17 @@ def _complex_grid(rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
 
 
 def integrate_complex(
-    f: Callable, rule: QuadratureRule, *, vectorized: bool = False
+    f: Callable, rule: QuadratureRule, *, vectorized: bool = True
 ) -> Bicomplex:
     """Approximate integral f(xi) exp(-gamma |xi|**2) dlambda(xi) over the plane.
 
     The planar measure is Lebesgue measure du dv for xi = u + iv; the rule is
-    applied as a tensor product over both real coordinates.
+    applied as a tensor product over both real coordinates to one call of ``f``
+    on the planar nodes; ``vectorized`` is accepted for compatibility only.
     """
     xi, w2 = _complex_grid(rule)
-    return _weighted_sum(f, xi, w2, vectorized)
+    _, a, b = _weighted_sum(f, xi, lambda v: np.sum(w2 * v))
+    return Bicomplex.from_channels(a, b)
 
 
 def _grid_sum(values, r: np.ndarray, c: np.ndarray) -> complex:
@@ -170,38 +174,32 @@ def _grid_sum(values, r: np.ndarray, c: np.ndarray) -> complex:
 
 
 def integrate_bicomplex(
-    f: Callable, nu: float, rule: QuadratureRule, *, vectorized: bool = False
+    f: Callable, nu: float, rule: QuadratureRule, *, vectorized: bool = True
 ) -> Bicomplex:
     """Approximate integral f(Z) exp(-nu |Z|^2) dlambda(Z) over the bicomplex ring.
 
     Writing Z = alpha e+ + beta e-, the Gaussian factorizes and the integral
     equals (1/4) of the iterated planar integral over (alpha, beta); the rule
-    must therefore carry gamma = nu / 2 for each complex coordinate.  With
-    ``vectorized=True`` the (alpha, beta) tensor grid is evaluated in blocks of
-    whole alpha rows.  Each block reaches ``f`` as an outer product: alpha is
-    a ``(rows, 1)`` column and beta the ``(1, n**2)`` row of all planar nodes,
-    so ``f`` must broadcast, and must not index, iterate, reduce or take
-    ``len()`` of the block.  Each channel of a block is summed as
-    w[rows] @ f @ w with the planar weights w, where a length-one axis of f
-    takes the sum of its weights: the tensor-grid sum regrouped, without the
-    outer weight block.  A channelwise integrand (products, powers, ``exp``,
-    the ring kernel) returns ``(rows, 1)`` and ``(1, n**2)`` channels, so it
-    costs O(rows + n**2) per block; once the first block (at least two rows)
-    shows this, the remaining rows go in one call.  A mixing integrand
-    (``norm``, ``z1``, ``conj_dagger``, ``|Z|**2``) fills every block and
-    gets at most ``_BLOCK_POINTS`` points per call after the first (one row
-    when a row alone is larger).  Every block is checked for non-finite
-    values.  Otherwise ``f`` is called once per grid point.
+    must therefore carry gamma = nu / 2 for each complex coordinate.  The
+    (alpha, beta) tensor grid is evaluated in blocks of whole alpha rows.
+    Each block reaches ``f`` as an outer product: alpha is a ``(rows, 1)``
+    column and beta the ``(1, n**2)`` row of all planar nodes, so ``f`` must
+    broadcast, and must not index, iterate, reduce or take ``len()`` of the
+    block.  Each channel of a block is summed as w[rows] @ f @ w with the
+    planar weights w, where a length-one axis of f takes the sum of its
+    weights: the tensor-grid sum regrouped, without the outer weight block.
+    A channelwise integrand (products, powers, ``exp``, the ring kernel)
+    returns ``(rows, 1)`` and ``(1, n**2)`` channels, so it costs
+    O(rows + n**2) per block; once the first block (at least two rows) shows
+    this, the remaining rows go in one call.  A mixing integrand (``norm``,
+    ``z1``, ``conj_dagger``, ``|Z|**2``) fills every block and gets at most
+    ``_BLOCK_POINTS`` points per call after the first (one row when a row
+    alone is larger).  Every block is checked for non-finite values.
+    ``vectorized`` is accepted for compatibility only.
     """
     _require_positive("nu", nu)
     if not abs(rule.gamma - nu / 2.0) <= 1e-12 * max(1.0, abs(nu)):
         raise DomainError(f"rule gamma {rule.gamma} does not match nu/2 = {nu / 2.0}")
-    if not vectorized:
-
-        def slice_at(alpha: complex) -> Bicomplex:
-            return integrate_complex(lambda beta: f(Bicomplex.from_channels(alpha, beta)), rule)
-
-        return 0.25 * integrate_complex(slice_at, rule)
     xi, w2 = _complex_grid(rule)
     n2 = len(xi)
     step = max(1, _BLOCK_POINTS // n2)
@@ -211,10 +209,10 @@ def integrate_bicomplex(
     while start < n2:
         block = slice(start, start + rows)
         Z = Bicomplex.from_channels(xi[block, None], xi[None, :])
-        values = _require_finite(as_bicomplex(f(Z)), _NONFINITE_INTEGRAND)
         r = w2[block]
-        acc_a += _grid_sum(values.alpha, r, w2)
-        acc_b += _grid_sum(values.beta, r, w2)
+        values, a, b = _weighted_sum(f, Z, lambda v: _grid_sum(v, r, w2))
+        acc_a += a
+        acc_b += b
         start += len(r)
         # a block that neither channel fills shows f channelwise: the rest in one call
         rows = step if max(np.size(values.alpha), np.size(values.beta)) == len(r) * n2 else n2

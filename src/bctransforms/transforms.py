@@ -107,7 +107,7 @@ def sbt_forward_integral(
     The kernel c_0 exp(-sigma (x - a Z)**2) equals c_0 exp(-sigma x**2)
     generating_G(x, Z*); the rule carries the Gaussian factor (gamma = sigma)
     and the integrand is G(x, Z*) phi(x).  ``phi`` is evaluated on the whole
-    node array unless ``vectorized=False``.
+    node array; ``vectorized`` is accepted for compatibility only.
     """
     Zs = conj_star(as_bicomplex(Z))
     rule = gauss_hermite(order, sigma)
@@ -115,7 +115,7 @@ def sbt_forward_integral(
     def integrand(x):
         return generating_G(sigma, nu, x, Zs) * as_bicomplex(phi(x))
 
-    val = integrate_real(integrand, rule, vectorized=vectorized)
+    val = integrate_real(integrand, rule)
     return normalization_c(0, sigma) * val
 
 
@@ -149,14 +149,14 @@ def sbt_inverse_integral(
             resid = generating_G(sigma, nu, x, Bicomplex.from_channels(xi, 0j)).alpha
             return resid * as_bicomplex(f(Bicomplex.from_complex(xi)))
 
-        val = integrate_complex(integrand, rule, vectorized=True)
+        val = integrate_complex(integrand, rule)
         return normalization_c(1, nu / 2.0) * val
 
     if method == "tensor":
         def integrand_bc(Z: Bicomplex) -> Bicomplex:
             return generating_G(sigma, nu, x, Z) * as_bicomplex(f(Z))
 
-        val = integrate_bicomplex(integrand_bc, nu, rule, vectorized=True)
+        val = integrate_bicomplex(integrand_bc, nu, rule)
         return normalization_c("BC", nu) * val
 
     raise ValueError(f"unknown method {method!r}")
@@ -176,7 +176,8 @@ def s_transform(
     dlambda(xi), where kernel_K_BC(nu, Z, xi) = exp(+(nu/2) Z conj(xi)); on
     monomials xi**n it returns Z**n.  The plus sign in the exponent is the
     convention under which that monomial identity holds (the verification
-    suite pins it numerically).
+    suite pins it numerically).  ``vectorized`` is accepted for
+    compatibility only.
     """
     Z = as_bicomplex(Z)
     rule = gauss_hermite(order, nu / 2.0)
@@ -184,5 +185,5 @@ def s_transform(
     def integrand(xi):
         return kernel_K_BC(nu, Z, xi) * as_bicomplex(F(xi))
 
-    val = integrate_complex(integrand, rule, vectorized=vectorized)
+    val = integrate_complex(integrand, rule)
     return normalization_c(1, nu / 2.0) * val

@@ -41,6 +41,7 @@ from .errors import (
     ExcludedParameterError,
     NonFiniteError,
     NullConeError,
+    _require_int,
     _require_positive,
 )
 from .frft import (
@@ -456,18 +457,14 @@ def _(p):
     gamma = p.nu / 2.0
     alpha = 0.4 + 0.1j
     rule = gauss_hermite(p.order, gamma)
-    val = integrate_complex(
-        lambda xi: xi**2 * np.exp(gamma * alpha * np.conjugate(xi)),
-        rule,
-        vectorized=True,
-    )
+    val = integrate_complex(lambda xi: xi**2 * np.exp(gamma * alpha * np.conjugate(xi)), rule)
     expect = math.pi / gamma * alpha**2
     yield abs(complex(val.z1) - expect) / abs(expect)
 
 @_case("quadrature/bicomplex-mass", 1e-12, "normalized bicomplex Gaussian has unit mass")
 def _(p):
     rule = gauss_hermite(12, p.nu / 2.0)
-    val = integrate_bicomplex(lambda Z: bc.ONE, p.nu, rule, vectorized=True)
+    val = integrate_bicomplex(lambda Z: bc.ONE, p.nu, rule)
     yield bc.norm(normalization_c("BC", p.nu) * val - bc.ONE)
 
 @_case("quadrature/scaling-covariance", 0.0, "rules at different gamma are exact rescalings of the unit rule")
@@ -491,13 +488,7 @@ def _(p):
 def _(p):
     for n in range(7):
         for m in range(n, 7):
-            val = inner_H2nu(
-                lambda Z, n=n: Z**n,
-                lambda Z, m=m: Z**m,
-                p.nu,
-                order=20,
-                vectorized=True,
-            )
+            val = inner_H2nu(lambda Z, n=n: Z**n, lambda Z, m=m: Z**m, p.nu, order=20)
             expect = monomial_norm_sq(n, p.nu) if m == n else 0.0
             scale = math.sqrt(monomial_norm_sq(n, p.nu) * monomial_norm_sq(m, p.nu))
             yield bc.norm(val - expect * bc.ONE) / scale
@@ -508,14 +499,14 @@ def _(p):
     pts = [_rand_bc_bounded(rng, 1.5) for _ in range(5)]
     for n in range(7):
         for Z in pts:
-            got = project_P(lambda W, n=n: W**n, p.nu, Z, order=24, vectorized=True)
+            got = project_P(lambda W, n=n: W**n, p.nu, Z, order=24)
             yield bc.norm(got - Z**n)
 
 @_case("bargmann/annihilates-antiholomorphic", 1e-10, "projection kills the conjugate coordinate")
 def _(p):
     rng = _rng(p)
     Z = _rand_bc_bounded(rng, 1.0)
-    yield bc.norm(project_P(lambda W: conj_star(W), p.nu, Z, order=20, vectorized=True))
+    yield bc.norm(project_P(lambda W: conj_star(W), p.nu, Z, order=20))
 
 @_case("bargmann/kernel-symmetry", 1e-14, "K(Z,W) equals the star conjugate of K(W,Z)")
 def _(p):
@@ -552,7 +543,7 @@ def _(p):
     for _ in range(3):
         f = _rand_monomial_vec(rng, 4, p.nu)
         coeff = f.norm_sq()
-        quad = inner_H2nu(f.evaluate, f.evaluate, p.nu, order=20, vectorized=True)
+        quad = inner_H2nu(f.evaluate, f.evaluate, p.nu, order=20)
         yield abs(quad.z1.real - coeff) / coeff
 
 @_case("bargmann/split-norm", 1e-10, "norm^2 is the mean of the two channel space norms")
@@ -564,9 +555,7 @@ def _(p):
     c1 = normalization_c(1, gamma)
     total = 0.0
     for coeffs in (f.coeffs.alpha, f.coeffs.beta):
-        val = integrate_complex(
-            lambda xi: np.abs(np.polyval(coeffs[::-1], xi)) ** 2, rule, vectorized=True
-        )
+        val = integrate_complex(lambda xi: np.abs(np.polyval(coeffs[::-1], xi)) ** 2, rule)
         total += c1 * val.z1.real
     yield abs(total / 2.0 - f.norm_sq()) / f.norm_sq()
 
@@ -665,9 +654,7 @@ def _(p):
     rule = gauss_hermite(p.order, gamma)
     c1 = normalization_c(1, gamma)
     for n in range(6):
-        plane = c1 * integrate_complex(
-            lambda xi, n=n: np.abs(xi) ** (2 * n), rule, vectorized=True
-        ).z1.real
+        plane = c1 * integrate_complex(lambda xi, n=n: np.abs(xi) ** (2 * n), rule).z1.real
         ring = MonomialCoeffVector.basis(n, p.nu).norm_sq()
         yield abs(plane - ring) / ring
 
@@ -832,9 +819,7 @@ def _(p):
         d = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         closed = gaussian_integral_closed(1.0, a, b, c, d)
         quad = integrate_complex(
-            lambda z: np.exp(a * z * z + b * np.conjugate(z) ** 2 + c * z + d * np.conjugate(z)),
-            rule,
-            vectorized=True,
+            lambda z: np.exp(a * z * z + b * np.conjugate(z) ** 2 + c * z + d * np.conjugate(z)), rule
         )
         yield abs(complex(quad.z1) - closed) / abs(closed)
     yield _rejects(DomainError, lambda: gaussian_integral_closed(1.0, 0.6, 0.5, 0.0, 0.0))
@@ -935,10 +920,8 @@ def run_suite(
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
     _require_positive("sigma", sigma)
     _require_positive("nu", nu)
-    for name, value, least in (("order", order, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-            raise DomainError(f"{name} must be an int >= {least}, got {value!r}")
-    order, seed = int(order), int(seed)  # a numpy int, as a Python int the report can encode
+    # a numpy int becomes a Python int, which the report can encode
+    order, seed = _require_int("order", order, 1), _require_int("seed", seed, 0)
     params = _Params(sigma=sigma, nu=nu, order=order, seed=seed, theta=theta)
     results = [_run_case(c, params) for c in _CASES if suite == "all" or c.id.startswith(suite + "/")]
     report_params = {"sigma": sigma, "nu": nu, "order": order, "seed": seed}

@@ -81,7 +81,9 @@ WEIGHT_CALLS = {
 }
 
 
-@pytest.mark.parametrize("bad", [math.inf, math.nan, pytest.param(10**400, id="int-beyond-float")])
+@pytest.mark.parametrize(
+    "bad", [math.inf, math.nan, pytest.param(10**400, id="int-beyond-float"), pytest.param("2", id="str"), 1 + 0j]
+)
 @pytest.mark.parametrize("name", list(WEIGHT_CALLS))
 def test_weight_parameter_must_be_positive_and_finite(name, bad):
     with pytest.raises(ValueError) as info:

@@ -10,11 +10,14 @@ from bctransforms import (
     as_bicomplex,
     conj_dagger,
     gauss_hermite,
+    inner_H2nu,
+    inner_L2sigma,
     integrate_bicomplex,
     integrate_complex,
     integrate_real,
     kernel_K_BC,
     normalization_c,
+    project_P,
 )
 from bctransforms import bargmann
 from bctransforms import bicomplex as bc
@@ -47,12 +50,16 @@ class TestRuleConstruction:
         assert_allclose(scaled.weights, base.weights / 2.0)
 
     def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            gauss_hermite(0)
+        # an order that is not an int >= 1 (a bool, a float, a str) is refused
+        for order in (0, -3, True, 2.5, "8"):
+            with pytest.raises(ValueError) as info:
+                gauss_hermite(order)
+            assert type(info.value) is DomainError
         with pytest.raises(ValueError):
             gauss_hermite(8, 0.0)
         with pytest.raises(ValueError):
             gauss_hermite(8, -1.0)
+        assert gauss_hermite(np.int64(8)).order == 8
 
     def test_rule_arrays_read_only(self):
         rule = gauss_hermite(8, 2.0)
@@ -116,12 +123,30 @@ class TestRealIntegrals:
         got6 = scalar(integrate_real(lambda t: t**6, rule))
         assert abs(got6 - 15 / 8 * math.sqrt(math.pi)) > 1e-3
 
-    def test_vectorized_matches_loop(self):
-        rule = gauss_hermite(20, 2.0)
-        f = lambda t: np.cos(t) + t**2
-        a = integrate_real(f, rule)
-        b = integrate_real(f, rule, vectorized=True)
-        assert_allclose(complex(a.z1), complex(b.z1), rtol=1e-14)
+    @pytest.mark.parametrize(
+        "integrate",
+        [
+            lambda f: integrate_real(lambda t: f(t), gauss_hermite(8, 1.0)),
+            lambda f: integrate_complex(lambda xi: f(xi.real), gauss_hermite(8, 1.0)),
+            lambda f: integrate_bicomplex(lambda Z: f(Z.alpha.real), 2.0, gauss_hermite(8, 1.0)),
+        ],
+        ids=["real", "complex", "bicomplex"],
+    )
+    def test_non_broadcasting_integrand_raises(self, integrate):
+        # a scalar-only function, a truth-value branch and a return shape that
+        # does not broadcast with the nodes are each refused with DomainError
+        for f in (math.exp, lambda t: 1.0 if t > 0 else 0.0, lambda t: np.ones(3)):
+            with pytest.raises(ValueError) as info:
+                integrate(f)
+            assert type(info.value) is DomainError
+            assert "broadcast" in str(info.value)
+
+        # an error of the package raised inside the integrand keeps its type
+        def overflowing(t):
+            return kernel_K_BC(2.0, Bicomplex(400.0, 0j), Bicomplex.from_channels(400.0 + 0 * t, 0j))
+
+        with pytest.raises(NonFiniteError, match="outside float range"):
+            integrate(overflowing)
 
     def test_bicomplex_valued_integrand(self):
         rule = gauss_hermite(16, 1.0)
@@ -208,32 +233,17 @@ def _mixed(Z):
     return Bicomplex.from_channels(a * (1 + b) + Z.alpha, b * (1 + 2 * a))
 
 
-def _assert_channels_close(got, want, rtol, atol=0.0):
-    assert_allclose(complex(got.alpha), complex(want.alpha), rtol=rtol, atol=atol)
-    assert_allclose(complex(got.beta), complex(want.beta), rtol=rtol, atol=atol)
+def _assert_channels_close(got, want, rtol):
+    assert_allclose(complex(got.alpha), complex(want.alpha), rtol=rtol)
+    assert_allclose(complex(got.beta), complex(want.beta), rtol=rtol)
 
 
 class TestBlockedRingGrid:
-    """The vectorized ring path evaluates blocks of whole alpha rows, each an
+    """The ring integrator evaluates blocks of whole alpha rows, each an
     outer product: alpha a (rows, 1) column, beta the (1, n**2) row.  A
     mixing integrand gets blocks of at most 8192 points (41 full blocks of 14
     rows and a last one of 2 rows at order 24); a channelwise one shows its
     shape on the first block (at least 2 rows) and gets the rest in one call."""
-
-    @pytest.mark.parametrize(
-        "order, f, atol",
-        # the channelwise integral's beta channel is 5e-3 against terms of
-        # order 1, so it is compared at the scale of its terms; at order 12
-        # it takes a first block of 56 rows and then the other 88 in one call
-        # (order 24 would cost 331 776 scalar kernel calls in the loop)
-        [(7, _mixed, 0.0), (24, _mixed, 0.0), (7, _channelwise, 1e-14), (12, _channelwise, 1e-14)],
-        ids=["7", "24", "channelwise-7", "channelwise-12"],
-    )
-    def test_matches_pointwise_loop(self, order, f, atol):
-        rule = gauss_hermite(order, 1.0)
-        got = integrate_bicomplex(f, 2.0, rule, vectorized=True)
-        want = integrate_bicomplex(f, 2.0, rule)
-        _assert_channels_close(got, want, 1e-14, atol)
 
     @pytest.mark.parametrize("order", [7, 24, 91])
     def test_matches_separable_sums(self, order):
@@ -275,6 +285,29 @@ class TestBlockedRingGrid:
             assert seen == alphas
             assert betas == [(1, 24**2)] * len(alphas)
 
+    @pytest.mark.parametrize(
+        "form, n_points",
+        [
+            (lambda f: project_P(f, 2.0, _Z0), 24**4),
+            (lambda f: inner_H2nu(f, lambda W: W, 2.0), 24**4),
+            (lambda f: inner_L2sigma(f, lambda t: t, 1.0), DEFAULT_ORDER),
+        ],
+        ids=["project_P", "inner_H2nu", "inner_L2sigma"],
+    )
+    def test_integral_forms_call_the_integrand_on_blocks(self, form, n_points):
+        # with their default arguments: a mixing integrand (z1) reaches f in
+        # at most 42 blocks at order 24, and in one call on the line
+        sizes = []
+
+        def f(X):
+            X = as_bicomplex(X)
+            sizes.append(np.broadcast(X.alpha, X.beta).size)
+            return X.z1
+
+        form(f)
+        assert len(sizes) <= 42
+        assert sum(sizes) == n_points
+
     def test_first_block_has_two_rows_at_order_91(self):
         # one row alone is 91**2 > 8192 points, and one row cannot tell a
         # channelwise (1, n**2) beta channel from a mixing (1, n**2) block;
@@ -295,15 +328,18 @@ class TestBlockedRingGrid:
             integrate_bicomplex(lambda Z: spy(Z, bc.norm), 2.0, rule, vectorized=True)
         assert seen == [(2, 1), (1, 1), (1, 1), (1, 1)]
 
-    @pytest.mark.parametrize("order", [7, 24])
+    # at order 12 a channelwise f takes a first block of 56 rows and then the
+    # other 88 in one call
+    @pytest.mark.parametrize("order", [7, 12, 24])
     @pytest.mark.parametrize(
         "f",
         [
             _channelwise,
             lambda W: conj_dagger(W) * W,  # swaps the channels, then mixes them
             bc.norm,  # mixes the channels
+            _mixed,
         ],
-        ids=["kernel-times-power", "dagger-product", "norm"],
+        ids=["kernel-times-power", "dagger-product", "norm", "mixed"],
     )
     def test_near_exact_grid_sum(self, order, f):
         # the exactly rounded sum of w * f over the materialized grid; the

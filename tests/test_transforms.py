@@ -199,9 +199,10 @@ class TestForwardIntegral:
         assert_bc_close(got, want, tol=1e-9)
 
     def test_scalar_callable_path(self):
-        got = sbt_forward_integral(
-            lambda x: 1.0, SIGMA, NU, Bicomplex(0j, 0j), order=32, vectorized=False
-        )
+        # vectorized=False is still accepted, and has no effect on the value
+        args = (lambda x: 1.0, SIGMA, NU, Bicomplex(0j, 0j))
+        got = sbt_forward_integral(*args, order=32, vectorized=False)
+        assert got == sbt_forward_integral(*args, order=32)
         assert_bc_close(got, Bicomplex(1 + 0j, 0j), tol=1e-12)
 
 

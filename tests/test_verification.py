@@ -267,7 +267,7 @@ def test_nan_at_one_sample_fails_only_its_cases(monkeypatch, target, name, faili
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"sigma": 0.0}, {"sigma": -1.0}, {"sigma": math.nan}, {"sigma": math.inf},
+        {"sigma": 0.0}, {"sigma": -1.0}, {"sigma": math.nan}, {"sigma": math.inf}, {"sigma": 1 + 0j},
         {"nu": math.nan}, {"nu": -2.0}, {"nu": 10**400},
         {"order": 0}, {"order": -3}, {"order": 64.0}, {"order": True}, {"order": "64"},
         {"seed": -1}, {"seed": 1.0}, {"seed": True},
