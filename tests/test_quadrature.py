@@ -233,9 +233,26 @@ def _mixed(Z):
     return Bicomplex.from_channels(a * (1 + b) + Z.alpha, b * (1 + 2 * a))
 
 
-def _assert_channels_close(got, want, rtol):
-    assert_allclose(complex(got.alpha), complex(want.alpha), rtol=rtol)
-    assert_allclose(complex(got.beta), complex(want.beta), rtol=rtol)
+def _assert_channels_close(got, want, rtol, atol=0.0):
+    assert_allclose(complex(got.alpha), complex(want.alpha), rtol=rtol, atol=atol)
+    assert_allclose(complex(got.beta), complex(want.beta), rtol=rtol, atol=atol)
+
+
+def _pointwise_ring_sum(f, rule):
+    """The ring integral as an iterated sum with one call of ``f`` per grid
+    point on scalar channels: an oracle independent of the block path."""
+    xi = (rule.nodes[:, None] + 1j * rule.nodes[None, :]).ravel().tolist()
+    w2 = (rule.weights[:, None] * rule.weights[None, :]).ravel().tolist()
+    acc_a = acc_b = 0j
+    for alpha, w_alpha in zip(xi, w2):
+        row_a = row_b = 0j
+        for beta, w_beta in zip(xi, w2):
+            v = as_bicomplex(f(Bicomplex.from_channels(alpha, beta)))
+            row_a += w_beta * complex(v.alpha)
+            row_b += w_beta * complex(v.beta)
+        acc_a += w_alpha * row_a
+        acc_b += w_alpha * row_b
+    return 0.25 * Bicomplex.from_channels(acc_a, acc_b)
 
 
 class TestBlockedRingGrid:
@@ -244,6 +261,18 @@ class TestBlockedRingGrid:
     mixing integrand gets blocks of at most 8192 points (41 full blocks of 14
     rows and a last one of 2 rows at order 24); a channelwise one shows its
     shape on the first block (at least 2 rows) and gets the rest in one call."""
+
+    @pytest.mark.parametrize(
+        "order, f, atol",
+        # the channelwise integral's beta channel is 5e-3 against terms of
+        # order 1, so it is compared at the scale of its terms
+        [(7, _mixed, 0.0), (24, _mixed, 0.0), (7, _channelwise, 1e-14), (12, _channelwise, 1e-14)],
+        ids=["7", "24", "channelwise-7", "channelwise-12"],
+    )
+    def test_matches_pointwise_loop(self, order, f, atol):
+        rule = gauss_hermite(order, 1.0)
+        got = integrate_bicomplex(f, 2.0, rule)
+        _assert_channels_close(got, _pointwise_ring_sum(f, rule), 1e-14, atol)
 
     @pytest.mark.parametrize("order", [7, 24, 91])
     def test_matches_separable_sums(self, order):
