@@ -12,185 +12,20 @@ The :mod:`~bctransforms.verification` module and the ``bctransforms`` CLI
 re-check the library's defining identities numerically.
 """
 
-from .bicomplex import (
-    E_MINUS,
-    E_PLUS,
-    I,
-    IJ,
-    J,
-    NULL_TOL,
-    ONE,
-    ZERO,
-    Bicomplex,
-    IdempotentPair,
-    add,
-    as_bicomplex,
-    bc_inner,
-    conj_dagger,
-    conj_star,
-    conj_tilde,
-    exp,
-    from_idempotent,
-    inverse,
-    is_null_cone,
-    mul,
-    neg,
-    norm,
-    pow,
-    sqrt_principal,
-    sub,
-    to_idempotent,
-)
-from .errors import (
-    BCTransformsError,
-    BranchCutError,
-    ConvergenceError,
-    DimensionMismatch,
-    DomainError,
-    ExcludedParameterError,
-    NonFiniteError,
-    NullConeError,
-)
-from .quadrature import (
-    DEFAULT_BC_ORDER,
-    DEFAULT_ORDER,
-    QuadratureRule,
-    gauss_hermite,
-    integrate_bicomplex,
-    integrate_complex,
-    integrate_real,
-    normalization_c,
-)
-from .hermite import (
-    generating_G,
-    generating_series,
-    hermite_norm_sq,
-    hermite_sigma,
-    hermite_sigma_bc,
-    psi_n,
-    psi_values,
-)
-from .bargmann import (
-    HermiteCoeffVector,
-    MonomialCoeffVector,
-    eval_monomial_series,
-    idempotent_split_F,
-    inner_H2nu,
-    inner_L2sigma,
-    kernel_K_BC,
-    kernel_K_C,
-    monomial_norm_sq,
-    project_P,
-)
-from .transforms import (
-    INVERSE_ORDER,
-    s_transform,
-    sbt_forward,
-    sbt_forward_integral,
-    sbt_inverse_coeff,
-    sbt_inverse_integral,
-    sbt_kernel_BC,
-    sbt_kernel_C,
-)
-from .frft import (
-    ThetaParam,
-    ck_frft_kernel,
-    frft_apply,
-    frft_coefficients,
-    frft_inverse,
-    frft_kernel,
-    gaussian_integral_closed,
-    mehler_bilinear_bc,
-    mehler_bilinear_series,
-    mehler_closed,
-    mehler_series,
-)
-from .verification import CaseResult, SUITE_NAMES, VerificationReport, run_suite
+from . import bargmann, bicomplex, errors, frft, hermite, quadrature, transforms, verification
+from .bicomplex import *
+from .errors import *
+from .quadrature import *
+from .hermite import *
+from .bargmann import *
+from .transforms import *
+from .frft import *
+from .verification import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bicomplex",
-    "IdempotentPair",
-    "ZERO",
-    "ONE",
-    "I",
-    "J",
-    "IJ",
-    "E_PLUS",
-    "E_MINUS",
-    "NULL_TOL",
-    "add",
-    "sub",
-    "neg",
-    "mul",
-    "pow",
-    "exp",
-    "norm",
-    "inverse",
-    "sqrt_principal",
-    "as_bicomplex",
-    "bc_inner",
-    "conj_dagger",
-    "conj_tilde",
-    "conj_star",
-    "to_idempotent",
-    "from_idempotent",
-    "is_null_cone",
-    "BCTransformsError",
-    "NullConeError",
-    "BranchCutError",
-    "ExcludedParameterError",
-    "DomainError",
-    "NonFiniteError",
-    "ConvergenceError",
-    "DimensionMismatch",
-    "QuadratureRule",
-    "gauss_hermite",
-    "integrate_real",
-    "integrate_complex",
-    "integrate_bicomplex",
-    "normalization_c",
-    "DEFAULT_ORDER",
-    "DEFAULT_BC_ORDER",
-    "INVERSE_ORDER",
-    "hermite_sigma",
-    "hermite_sigma_bc",
-    "hermite_norm_sq",
-    "psi_n",
-    "psi_values",
-    "generating_G",
-    "generating_series",
-    "HermiteCoeffVector",
-    "MonomialCoeffVector",
-    "kernel_K_C",
-    "kernel_K_BC",
-    "monomial_norm_sq",
-    "inner_L2sigma",
-    "inner_H2nu",
-    "project_P",
-    "eval_monomial_series",
-    "idempotent_split_F",
-    "sbt_kernel_C",
-    "sbt_kernel_BC",
-    "sbt_forward",
-    "sbt_forward_integral",
-    "sbt_inverse_coeff",
-    "sbt_inverse_integral",
-    "s_transform",
-    "ThetaParam",
-    "frft_kernel",
-    "frft_coefficients",
-    "frft_apply",
-    "frft_inverse",
-    "mehler_closed",
-    "mehler_series",
-    "mehler_bilinear_bc",
-    "mehler_bilinear_series",
-    "ck_frft_kernel",
-    "gaussian_integral_closed",
-    "CaseResult",
-    "VerificationReport",
-    "SUITE_NAMES",
-    "run_suite",
+    name
+    for module in (bicomplex, errors, quadrature, hermite, bargmann, transforms, frft, verification)
+    for name in module.__all__
 ]

@@ -27,12 +27,11 @@ import numpy as np
 
 from .bicomplex import (
     Bicomplex,
+    _channelwise,
     _fails_closed,
     _require_finite,
     as_bicomplex,
     bc_inner,
-    conj_star,
-    exp as bc_exp,
     norm as bc_norm,
 )
 from .errors import DimensionMismatch, _require_positive
@@ -202,18 +201,25 @@ class MonomialCoeffVector(_CoeffVector):
     evaluate = eval_monomial_series
 
 
+def _planar_kernel(gamma, z, w):
+    """The planar reproducing kernel exp(gamma z conj(w)), on complex values."""
+    w_bar = np.conjugate(w)
+    return np.exp(gamma * (z * w_bar))
+
+
 @_fails_closed
 def kernel_K_C(gamma: float, z: complex, w: complex) -> complex:
     """Classical planar reproducing kernel exp(gamma z conj(w))."""
     _require_positive("gamma", gamma)
-    return np.exp(gamma * z * np.conjugate(w))
+    return _planar_kernel(gamma, z, w)
 
 
 @_fails_closed
 def kernel_K_BC(nu: float, Z: Bicomplex, W: Bicomplex) -> Bicomplex:
-    """Bicomplex reproducing kernel exp((nu/2) Z W*)."""
+    """Bicomplex reproducing kernel exp((nu/2) Z W*): the planar kernel with
+    gamma = nu/2 on each channel, as W* conjugates each channel."""
     _require_positive("nu", nu)
-    return bc_exp((0.5 * nu) * (as_bicomplex(Z) * conj_star(as_bicomplex(W))))
+    return _channelwise(_planar_kernel)(0.5 * nu, as_bicomplex(Z), as_bicomplex(W))
 
 
 def monomial_norm_sq(n: int, nu: float) -> float:

@@ -103,6 +103,23 @@ def _fails_closed(fn):
     return wrapper
 
 
+def _channelwise(formula):
+    """Lift a complex ``formula`` to the ring along Z = alpha e+ + beta e-.
+
+    The lifted function calls ``formula`` twice, with each Bicomplex argument
+    replaced by its alpha channel and then by its beta channel (any other
+    argument goes to both calls), and returns the two results as channels.
+    It neither coerces, copies nor checks: callers validate and fail closed.
+    """
+
+    def lifted(*args):
+        alpha = formula(*(a.alpha if isinstance(a, Bicomplex) else a for a in args))
+        beta = formula(*(a.beta if isinstance(a, Bicomplex) else a for a in args))
+        return Bicomplex.from_channels(alpha, beta)
+
+    return lifted
+
+
 _PY_SCALARS = frozenset((complex, float, int))
 
 

@@ -1,7 +1,12 @@
 """Exception types shared across the package, and the parameter guards."""
 
-import sys
+import math
 from numbers import Integral, Real
+
+__all__ = [
+    "BCTransformsError", "NullConeError", "BranchCutError", "ExcludedParameterError",
+    "DomainError", "NonFiniteError", "ConvergenceError", "DimensionMismatch",
+]
 
 
 class BCTransformsError(Exception):
@@ -39,11 +44,18 @@ class DimensionMismatch(BCTransformsError, ValueError):
     """Operands carry incompatible weight parameters or coefficient layouts."""
 
 
-def _require_positive(name: str, value) -> None:
-    """Raise DomainError unless 0 < ``value`` <= the largest float; NaN, inf and
-    an int beyond float range and a value that is not a real number fail."""
-    if not (isinstance(value, Real) and 0 < value <= sys.float_info.max):
+def _require_positive(name: str, value) -> float:
+    """Return ``value`` as a Python float if it is a real number with
+    0 < float(value) < inf, else raise DomainError (NaN, inf, an int beyond
+    float range, a non-real).  Comparing in Python floats keeps a float32 from
+    casting the float maximum to float32, which overflows."""
+    try:
+        out = float(value) if isinstance(value, Real) else math.nan
+    except OverflowError:  # an int beyond float range
+        out = math.nan
+    if not 0 < out < math.inf:
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    return out
 
 
 def _require_int(name: str, value, least: int) -> int:

@@ -14,11 +14,13 @@ form uses the Gaussian kernel
 
 whose real decay rate in x is exactly sigma/2 on the unit torus and faster
 inside it, so the quadrature rule always carries gamma = sigma/2 with the
-residual folded in.  Every kernel here is built from that one exponent: the
-continued kernel puts a ring point Z in place of y, and the closed Mehler
-sums add sigma x**2 to it, so the rotation kernel equals c_0 exp(-sigma x**2)
-times the closed Mehler sum by construction.  The series oracles instead sum
-theta**n psi_n(x) psi_n(y) term by term.
+residual folded in.  Every kernel here is a prefactor times the one complex
+formula exp(fold - S (x - theta Y)**2) applied to each channel: the continued
+kernel puts a ring point Z in place of y, the closed Mehler sums fold
+sigma x**2 into the exponent and the integral form folds (sigma/2) x**2, so
+the rotation kernel equals c_0 exp(-sigma x**2) times the closed Mehler sum
+by construction.  The series oracles instead sum theta**n psi_n(x) psi_n(y)
+term by term.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ import numpy as np
 from .bicomplex import (
     Bicomplex,
     ONE,
+    _channelwise,
     _fails_closed,
     as_bicomplex,
     conj_star,
-    exp as bc_exp,
     inverse as bc_inverse,
     sqrt_principal,
 )
@@ -132,17 +134,19 @@ def _rotation(
     return th, bc_inverse(sqrt_principal(pd)), sigma * bc_inverse(pd)
 
 
-def _exponent(S: Bicomplex, theta: Bicomplex, x, Y) -> Bicomplex:
-    """The exponent -S (x - theta Y)**2 shared by every rotation kernel."""
-    D = x - theta * Y
-    return -(S * (D * D))
+def _rotation_gaussian(S, theta, x, Y, fold=0):
+    """exp(fold - S (x - theta Y)**2), on complex values: every rotation kernel
+    is a prefactor times this formula on each channel, with ``fold`` the
+    Gaussian term added to the rotation exponent."""
+    square = (x - theta * Y) ** 2
+    return np.exp(fold - S * square)
 
 
 @_fails_closed
 def frft_kernel(sigma: float, theta: ThetaParam, x, y) -> Bicomplex:
     """Gaussian rotation kernel at real points ``x``, ``y``."""
     th, pref, S = _rotation(sigma, theta.theta)
-    return (normalization_c(0, sigma) * pref) * bc_exp(_exponent(S, th, x, y))
+    return (normalization_c(0, sigma) * pref) * _channelwise(_rotation_gaussian)(S, th, x, y)
 
 
 def frft_coefficients(psi: HermiteCoeffVector, theta: ThetaParam) -> HermiteCoeffVector:
@@ -180,7 +184,7 @@ def frft_apply(
     rule = gauss_hermite(order, sigma / 2.0)
 
     def integrand(x):
-        return bc_exp(_exponent(S, th, x, y) + (0.5 * sigma) * x**2) * as_bicomplex(psi(x))
+        return _channelwise(_rotation_gaussian)(S, th, x, y, (0.5 * sigma) * x**2) * as_bicomplex(psi(x))
 
     val = integrate_real(integrand, rule)
     return (normalization_c(0, sigma) * pref) * val
@@ -219,7 +223,7 @@ def mehler_closed(sigma: float, theta, x, y) -> Bicomplex:
     The exponent is the rotation exponent -S (x - theta y)**2 plus sigma x**2.
     """
     th, pref, S = _rotation(sigma, theta, _mehler_guard)
-    return pref * bc_exp(_exponent(S, th, x, y) + sigma * x * x)
+    return pref * _channelwise(_rotation_gaussian)(S, th, x, y, sigma * x * x)
 
 
 @_fails_closed

@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .bicomplex import Bicomplex, ONE, _fails_closed, _require_finite, as_bicomplex, conj_star, exp as bc_exp
+from .bicomplex import Bicomplex, ONE, _channelwise, _fails_closed, _require_finite, as_bicomplex, conj_star
 from .errors import NonFiniteError, _require_positive
 
 __all__ = [
@@ -127,17 +127,22 @@ def psi_values(n_max: int, sigma: float, x) -> list:
     return values
 
 
+def _generating(sigma, nu, x, z):
+    """exp(-(nu/4) conj(z)**2 + sqrt(sigma nu) x conj(z)), on complex values."""
+    zs = np.conjugate(z)
+    return np.exp((-0.25 * nu) * (zs * zs) + (math.sqrt(sigma * nu) * x) * zs)
+
+
 @_fails_closed
 def generating_G(sigma: float, nu: float, x, Z: Bicomplex) -> Bicomplex:
-    """Closed form exp(-(nu/4) (Z*)**2 + sqrt(sigma nu) x Z*) of the pairing series.
+    """Closed form exp(-(nu/4) (Z*)**2 + sqrt(sigma nu) x Z*) of the pairing series,
+    the complex closed form on each channel, as Z* conjugates each channel.
 
     ``x`` may be a scalar or ndarray; ``Z`` a Bicomplex value.
     """
     _require_positive("sigma", sigma)
     _require_positive("nu", nu)
-    Zs = conj_star(as_bicomplex(Z))
-    exponent = (-0.25 * nu) * (Zs * Zs) + (math.sqrt(sigma * nu) * x) * Zs
-    return bc_exp(exponent)
+    return _channelwise(_generating)(sigma, nu, x, as_bicomplex(Z))
 
 
 @_fails_closed

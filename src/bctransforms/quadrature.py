@@ -116,10 +116,20 @@ _NONFINITE_INTEGRAND = "integrand produced a non-finite value at a quadrature no
 def _weighted_sum(f: Callable, points, total: Callable) -> tuple[Bicomplex, complex, complex]:
     """The one place an integrand is called: ``f`` on ``points`` (the node array
     or a block of the ring grid), each checked channel reduced by ``total``.
-    An integrand that does not broadcast raises DomainError; a non-finite
-    value, NonFiniteError; a BCTransformsError raised in ``f`` keeps its type."""
+    An integrand that does not broadcast, or whose values have a channel that
+    does not broadcast to the shape of ``points``, raises DomainError; a
+    non-finite value, NonFiniteError; a BCTransformsError raised in ``f``
+    keeps its type."""
+    if isinstance(points, Bicomplex):
+        shape = np.broadcast_shapes(points.alpha.shape, points.beta.shape)
+    else:
+        shape = points.shape
     try:
-        values = _require_finite(as_bicomplex(f(points)), _NONFINITE_INTEGRAND)
+        values = as_bicomplex(f(points))
+        for channel in (values.alpha, values.beta):
+            if np.broadcast_shapes(np.shape(channel), shape) != shape:
+                raise ValueError(f"a channel of shape {np.shape(channel)} broadcasts past the nodes {shape}")
+        _require_finite(values, _NONFINITE_INTEGRAND)
         return values, complex(total(values.alpha)), complex(total(values.beta))
     except BCTransformsError:
         raise

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bicomplex import Bicomplex, _fails_closed, as_bicomplex, conj_star, exp as bc_exp
+from .bicomplex import Bicomplex, _channelwise, _fails_closed, as_bicomplex, conj_star
 from .bargmann import HermiteCoeffVector, MonomialCoeffVector, kernel_K_BC
 from .errors import _require_positive
 from .hermite import generating_G
@@ -61,26 +61,29 @@ __all__ = [
 INVERSE_ORDER = 80
 
 
-@_fails_closed
-def sbt_kernel_C(sigma: float, gamma: float, x: float, z: complex) -> complex:
-    """Classical Gaussian kernel c_0 exp(-sigma (x - sqrt(gamma/(2 sigma)) z)**2)."""
-    _require_positive("sigma", sigma)
-    _require_positive("gamma", gamma)
+def _gaussian_kernel(sigma, gamma, x, z):
+    """The Gaussian kernel c_0 exp(-sigma (x - sqrt(gamma/(2 sigma)) z)**2), on
+    complex values.  The square stays ``**2``: on Python complex scalars it
+    raises OverflowError where a product would return inf."""
     shift = math.sqrt(gamma / (2.0 * sigma))
     return normalization_c(0, sigma) * np.exp(-sigma * (x - shift * z) ** 2)
 
 
 @_fails_closed
-def sbt_kernel_BC(sigma: float, nu: float, x: float, Z: Bicomplex) -> Bicomplex:
-    """Bicomplex kernel c_0 exp(-sigma (x - sqrt(nu/(4 sigma)) Z)**2).
+def sbt_kernel_C(sigma: float, gamma: float, x: float, z: complex) -> complex:
+    """Classical Gaussian kernel c_0 exp(-sigma (x - sqrt(gamma/(2 sigma)) z)**2)."""
+    _require_positive("sigma", sigma)
+    _require_positive("gamma", gamma)
+    return _gaussian_kernel(sigma, gamma, x, z)
 
-    Channelwise it is sbt_kernel_C with gamma = nu/2 at the channel values.
-    """
+
+@_fails_closed
+def sbt_kernel_BC(sigma: float, nu: float, x: float, Z: Bicomplex) -> Bicomplex:
+    """Bicomplex kernel c_0 exp(-sigma (x - sqrt(nu/(4 sigma)) Z)**2): the
+    Gaussian kernel with gamma = nu/2 on each channel."""
     _require_positive("sigma", sigma)
     _require_positive("nu", nu)
-    shift = math.sqrt(nu / (4.0 * sigma))
-    D = x - shift * as_bicomplex(Z)
-    return normalization_c(0, sigma) * bc_exp(-sigma * (D * D))
+    return _channelwise(_gaussian_kernel)(sigma, 0.5 * nu, x, as_bicomplex(Z))
 
 
 def sbt_forward(phi: HermiteCoeffVector, nu: float) -> MonomialCoeffVector:

@@ -79,7 +79,6 @@ from .transforms import (
     sbt_inverse_coeff,
     sbt_inverse_integral,
     sbt_kernel_BC,
-    sbt_kernel_C,
 )
 
 __all__ = ["CaseResult", "VerificationReport", "SUITE_NAMES", "run_suite"]
@@ -623,21 +622,21 @@ def _(p):
     b = sbt_inverse_integral(f, p.sigma, p.nu, 0.5, order=16, method="tensor")
     yield bc.norm(a - b)
 
-@_case("transform/kernel-identity", 1e-13, "ring kernel factors through the generating function and the channel kernels")
+@_case("transform/kernel-identity", 1e-13, "ring kernel factors through the generating function and matches its component form")
 def _(p):
     rng = _rng(p)
     c0 = normalization_c(0, p.sigma)
+    shift = math.sqrt(p.nu / (4.0 * p.sigma))
     for _ in range(10):
         x = float(rng.uniform(-2, 2))
         Z = _rand_bc_bounded(rng, 1.5)
         lhs = sbt_kernel_BC(p.sigma, p.nu, x, Z)
         yield _rel((c0 * math.exp(-p.sigma * x * x)) * generating_G(p.sigma, p.nu, x, conj_star(Z)), lhs)
-        pair = bc.to_idempotent(Z)
-        split = Bicomplex.from_channels(
-            sbt_kernel_C(p.sigma, p.nu / 2.0, x, pair.alpha),
-            sbt_kernel_C(p.sigma, p.nu / 2.0, x, pair.beta),
-        )
-        yield _rel(split, lhs)
+        # c_0 exp(-sigma D**2), D = d1 + j d2, by (d1 + j d2)**2 = d1**2 - d2**2 + 2j d1 d2
+        # and exp(q1 + j q2) = e^q1 (cos q2 + j sin q2): never split into channels
+        d1, d2 = x - shift * Z.z1, -shift * Z.z2
+        q1, q2 = -p.sigma * (d1 * d1 - d2 * d2), -p.sigma * (2.0 * d1 * d2)
+        yield _rel(c0 * Bicomplex(np.exp(q1) * np.cos(q2), np.exp(q1) * np.sin(q2)), lhs)
 
 @_case("transform/slice-monomials", 1e-8, "slice transform sends xi^n to Z^n (plus-sign exponent convention)")
 def _(p):
@@ -918,9 +917,9 @@ def run_suite(
     an int >= 1 or a seed that is not an int >= 0 raises DomainError."""
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
-    _require_positive("sigma", sigma)
-    _require_positive("nu", nu)
-    # a numpy int becomes a Python int, which the report can encode
+    # a numpy number becomes a Python float or int, which the cases compute in
+    # double precision and the report can encode
+    sigma, nu = _require_positive("sigma", sigma), _require_positive("nu", nu)
     order, seed = _require_int("order", order, 1), _require_int("seed", seed, 0)
     params = _Params(sigma=sigma, nu=nu, order=order, seed=seed, theta=theta)
     results = [_run_case(c, params) for c in _CASES if suite == "all" or c.id.startswith(suite + "/")]

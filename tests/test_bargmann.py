@@ -25,7 +25,7 @@ from bctransforms import (
 )
 from bctransforms.errors import DimensionMismatch, NonFiniteError
 
-from conftest import assert_bc_close, rand_bc
+from conftest import assert_bc_close, rand_bc, ring_exp, ring_mul
 
 
 def one():
@@ -144,13 +144,14 @@ class TestKernels:
         with pytest.raises(ValueError):
             kernel_K_C(0.0, z, w)
 
-    def test_bicomplex_kernel_channel_factorization(self, rng):
-        nu = 2.0
-        Z, W = rand_bc(rng, 0.8), rand_bc(rng, 0.8)
-        K = kernel_K_BC(nu, Z, W)
-        ka = kernel_K_C(nu / 2.0, Z.alpha, W.alpha)
-        kb = kernel_K_C(nu / 2.0, Z.beta, W.beta)
-        assert_bc_close(K, Bicomplex.from_channels(ka, kb), tol=1e-12)
+    def test_bicomplex_kernel_component_form(self, rng):
+        # exp((nu/2) Z W*) in the (1, j) components, W* = conj(w1) - j conj(w2)
+        nu = 1.7
+        for _ in range(20):
+            Z, W = rand_bc(rng, 0.8), rand_bc(rng, 0.8)
+            q = ring_mul((Z.z1, Z.z2), (np.conj(W.z1), -np.conj(W.z2)))
+            K = kernel_K_BC(nu, Z, W)
+            assert_bc_close(K, ring_exp((0.5 * nu * q[0], 0.5 * nu * q[1])), tol=1e-14 * bc_norm(K))
 
     def test_kernel_hermitian_symmetry(self, rng):
         Z, W = rand_bc(rng, 0.8), rand_bc(rng, 0.8)

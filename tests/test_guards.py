@@ -92,6 +92,18 @@ def test_weight_parameter_must_be_positive_and_finite(name, bad):
     assert "positive and finite" in str(info.value)
 
 
+@pytest.mark.parametrize("name", list(WEIGHT_CALLS))
+def test_float32_weight_is_accepted(name):
+    # comparing a float32 with the float maximum once cast that maximum to
+    # float32, which overflowed with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            WEIGHT_CALLS[name](np.float32(1.0))
+        except BCTransformsError as err:  # a later check on another argument
+            assert "positive and finite" not in str(err)
+
+
 def test_monomial_norm_underflow_raises():
     # 2**160 160! / (1e300)**160 is far below the smallest float, but not zero
     with pytest.raises(NonFiniteError):

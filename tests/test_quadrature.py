@@ -133,9 +133,10 @@ class TestRealIntegrals:
         ids=["real", "complex", "bicomplex"],
     )
     def test_non_broadcasting_integrand_raises(self, integrate):
-        # a scalar-only function, a truth-value branch and a return shape that
-        # does not broadcast with the nodes are each refused with DomainError
-        for f in (math.exp, lambda t: 1.0 if t > 0 else 0.0, lambda t: np.ones(3)):
+        # a scalar-only function, a truth-value branch, a return shape that
+        # does not broadcast with the nodes and one that broadcasts past them
+        # are each refused with DomainError
+        for f in (math.exp, lambda t: 1.0 if t > 0 else 0.0, lambda t: np.ones(3), lambda t: t[:, None] * 0 + 1.0):
             with pytest.raises(ValueError) as info:
                 integrate(f)
             assert type(info.value) is DomainError
@@ -388,14 +389,15 @@ class TestBlockedRingGrid:
     def test_channelwise_exp_runs_once_per_node(self, monkeypatch):
         seen = []
 
-        def spy(W):
-            seen.append(np.size(W.alpha) + np.size(W.beta))
-            return bc.exp(W)
+        def spy(gamma, z, w):  # called once per channel
+            seen.append(np.broadcast(z, w).size)
+            return formula(gamma, z, w)
 
-        monkeypatch.setattr(bargmann, "bc_exp", spy)
+        formula = bargmann._planar_kernel
+        monkeypatch.setattr(bargmann, "_planar_kernel", spy)
         integrate_bicomplex(_channelwise, 2.0, gauss_hermite(24, 1.0), vectorized=True)
         # rows alpha values and 576 beta values per call, not rows * 576 each
-        assert seen == [14 + 576, 562 + 576]
+        assert [a + b for a, b in zip(seen[::2], seen[1::2], strict=True)] == [14 + 576, 562 + 576]
 
     def test_nan_in_last_block_raises(self):
         rule = gauss_hermite(24, 1.0)

@@ -27,7 +27,7 @@ from bctransforms import (
 from bctransforms import verification
 from bctransforms.errors import NonFiniteError
 
-from conftest import assert_bc_close, rand_bc
+from conftest import assert_bc_close, rand_bc, ring_exp, ring_mul
 
 SIGMA = 1.0
 NU = 2.0
@@ -133,13 +133,16 @@ class TestCoefficientMaps:
 
 
 class TestKernels:
-    def test_bc_kernel_channel_factorization(self, rng):
-        Z = rand_bc(rng)
-        x = 0.4
-        K = sbt_kernel_BC(SIGMA, NU, x, Z)
-        ka = sbt_kernel_C(SIGMA, NU / 2.0, x, Z.alpha)
-        kb = sbt_kernel_C(SIGMA, NU / 2.0, x, Z.beta)
-        assert_bc_close(K, Bicomplex.from_channels(ka, kb), tol=1e-12 * bc_norm(K))
+    def test_bc_kernel_component_form(self, rng):
+        # c_0 exp(-sigma D**2), D = (x - shift z1) - j shift z2, in the (1, j) components
+        shift = math.sqrt(NU / (4.0 * SIGMA))
+        c0 = math.sqrt(SIGMA / math.pi)
+        for x in np.linspace(-1.5, 1.5, 20):
+            Z = rand_bc(rng)
+            D = (x - shift * Z.z1, -shift * Z.z2)
+            q = ring_mul(D, D)
+            K = sbt_kernel_BC(SIGMA, NU, x, Z)
+            assert_bc_close(K, c0 * ring_exp((-SIGMA * q[0], -SIGMA * q[1])), tol=1e-13 * bc_norm(K))
 
     def test_kernel_is_generating_function_times_gaussians(self, rng):
         # A(x, Z) = c0 e^{-sigma x^2} e^{-(nu/4) Z^2 + sqrt(sigma nu) x Z}

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -286,6 +287,16 @@ def test_numpy_ints_are_valid_order_and_seed():
     report = verification.run_suite("algebra", order=np.int64(8), seed=np.uint32(3))
     assert report.all_passed
     assert strict_json(report.to_json())["params"] == {"sigma": 1.0, "nu": 2.0, "order": 8, "seed": 3}
+
+
+def test_numpy_float_weights_run_as_python_floats():
+    # a float32 weight once overflowed a cast in the weight guard; the cases
+    # then run in double precision and the report encodes the weights
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = verification.run_suite("all", sigma=np.float32(1.0), nu=np.float32(2.0))
+    assert report.all_passed
+    assert strict_json(report.to_json())["params"] == {"sigma": 1.0, "nu": 2.0, "order": 64, "seed": 20240817}
 
 
 def test_write_encodes_before_it_opens(tmp_path):
