@@ -20,6 +20,7 @@ scalar ``norm_sq`` is the mean of the two channel norms.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,6 +40,8 @@ from .hermite import _ratios, _scale, _weight, psi_values
 from .quadrature import (
     DEFAULT_BC_ORDER,
     DEFAULT_ORDER,
+    _complex_grid,
+    _kernel_sum,
     gauss_hermite,
     integrate_bicomplex,
     integrate_real,
@@ -69,7 +72,7 @@ class _CoeffVector:
     _param: str
 
     def __init__(self, param: float, coeffs):
-        _require_positive(self._param, param)
+        param = _require_positive(self._param, param)
         if not isinstance(coeffs, Bicomplex):
             items = [as_bicomplex(v) for v in coeffs]
             coeffs = Bicomplex.from_channels([v.alpha for v in items], [v.beta for v in items])
@@ -82,7 +85,7 @@ class _CoeffVector:
     @classmethod
     def _from_unit(cls, param: float, unit: Bicomplex):
         """The vector of weight ``param`` with the (valid) coordinates ``unit``."""
-        _require_positive(cls._param, param)
+        param = _require_positive(cls._param, param)
         out = object.__new__(cls)
         out.__dict__.update({cls._param: param, "_unit": unit})
         return out
@@ -189,7 +192,7 @@ class MonomialCoeffVector(_CoeffVector):
     def __init__(self, nu: float, coeffs):
         super().__init__(nu, coeffs)  # validates the raw A_n, which u_n then replace
         with np.errstate(all="ignore"):
-            unit = self._unit / _scale(self.degree, 2.0 / nu)
+            unit = self._unit / _scale(self.degree, 2.0 / self.nu)
         self.__dict__["_unit"] = _require_finite(unit, _OUTSIDE_FLOAT_RANGE)
 
     @property
@@ -210,7 +213,7 @@ def _planar_kernel(gamma, z, w):
 @_fails_closed
 def kernel_K_C(gamma: float, z: complex, w: complex) -> complex:
     """Classical planar reproducing kernel exp(gamma z conj(w))."""
-    _require_positive("gamma", gamma)
+    gamma = _require_positive("gamma", gamma)
     return _planar_kernel(gamma, z, w)
 
 
@@ -218,7 +221,7 @@ def kernel_K_C(gamma: float, z: complex, w: complex) -> complex:
 def kernel_K_BC(nu: float, Z: Bicomplex, W: Bicomplex) -> Bicomplex:
     """Bicomplex reproducing kernel exp((nu/2) Z W*): the planar kernel with
     gamma = nu/2 on each channel, as W* conjugates each channel."""
-    _require_positive("nu", nu)
+    nu = _require_positive("nu", nu)
     return _channelwise(_planar_kernel)(0.5 * nu, as_bicomplex(Z), as_bicomplex(W))
 
 
@@ -227,7 +230,7 @@ def monomial_norm_sq(n: int, nu: float) -> float:
     float range raises NonFiniteError."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    _require_positive("nu", nu)
+    nu = _require_positive("nu", nu)
     return _weight(n, 2.0 / nu)
 
 
@@ -287,8 +290,7 @@ def inner_H2nu(
     """
 
     def integrate(h, n):
-        rule = gauss_hermite(order, n / 2.0)
-        return integrate_bicomplex(h, n, rule) * normalization_c("BC", n)
+        return integrate_bicomplex(h, n, gauss_hermite(order, n / 2.0)) * normalization_c("BC", n)
 
     return _inner(MonomialCoeffVector, f, g, nu, integrate)
 
@@ -305,17 +307,13 @@ def project_P(
 
     Integrates kernel_K_BC(nu, Z, W) f(W) against the normalized bicomplex
     Gaussian in W.  Holomorphic polynomials are reproduced; components
-    conjugate-holomorphic in W are annihilated.  ``vectorized`` is accepted
-    and ignored.
+    conjugate-holomorphic in W are annihilated.  ``Z`` may be an array value,
+    whose shape the result takes (a scalar gives ``complex`` channels).
+    ``vectorized`` is accepted and ignored.
     """
-    Z = as_bicomplex(Z)
-    rule = gauss_hermite(order, nu / 2.0)
-
-    def integrand(W: Bicomplex) -> Bicomplex:
-        return kernel_K_BC(nu, Z, W) * as_bicomplex(f(W))
-
-    val = integrate_bicomplex(integrand, nu, rule)
-    return normalization_c("BC", nu) * val
+    xi, w2 = _complex_grid(gauss_hermite(order, nu / 2.0))
+    kernel = functools.partial(kernel_K_BC, nu)
+    return _kernel_sum(f, xi, w2, kernel, as_bicomplex(Z), scale=0.25 * normalization_c("BC", nu), ring=True)
 
 
 def idempotent_split_F(f: MonomialCoeffVector) -> tuple[list[complex], list[complex]]:

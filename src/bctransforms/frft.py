@@ -25,6 +25,7 @@ term by term.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -45,7 +46,7 @@ from .bicomplex import (
 from .bargmann import HermiteCoeffVector
 from .errors import DomainError, ExcludedParameterError, _require_positive
 from .hermite import _ladder
-from .quadrature import DEFAULT_ORDER, gauss_hermite, integrate_real, normalization_c
+from .quadrature import DEFAULT_ORDER, _kernel_sum, gauss_hermite, normalization_c
 
 __all__ = [
     "ThetaParam",
@@ -126,7 +127,7 @@ def _rotation(
     sigma is checked first, then ``guard`` validates and returns theta, then
     1 - theta**2 must stay off the null cone.
     """
-    _require_positive("sigma", sigma)
+    sigma = _require_positive("sigma", sigma)
     th = guard(theta)
     pd = ONE - th * th
     if pd.is_null(EXCLUSION_TOL):
@@ -140,6 +141,13 @@ def _rotation_gaussian(S, theta, x, Y, fold=0):
     Gaussian term added to the rotation exponent."""
     square = (x - theta * Y) ** 2
     return np.exp(fold - S * square)
+
+
+@_fails_closed
+def _folded_kernel(sigma: float, S: Bicomplex, theta: Bicomplex, y, x) -> Bicomplex:
+    """The rotation kernel at output points ``y`` and nodes ``x``, without its
+    prefactor and with the rule's residual exp(+(sigma/2) x**2) folded in."""
+    return _channelwise(_rotation_gaussian)(S, theta, x, y, (0.5 * sigma) * x**2)
 
 
 @_fails_closed
@@ -174,7 +182,9 @@ def frft_apply(
     A HermiteCoeffVector goes through the exact coefficient path.  A callable
     is integrated against the kernel with rule weight sigma/2 and the
     residual exp(+(sigma/2) x**2) folded into the exponent; ``sigma`` is then
-    required.  ``vectorized`` is accepted for compatibility only.
+    required, and ``psi`` is called once, on the node array.  ``y`` may be an
+    array, whose shape the result takes (a scalar gives ``complex``
+    channels).  ``vectorized`` is accepted for compatibility only.
     """
     if isinstance(psi, HermiteCoeffVector):
         return frft_coefficients(psi, theta).evaluate(y)
@@ -182,12 +192,8 @@ def frft_apply(
         raise TypeError("sigma is required when psi is a callable")
     th, pref, S = _rotation(sigma, theta.theta)
     rule = gauss_hermite(order, sigma / 2.0)
-
-    def integrand(x):
-        return _channelwise(_rotation_gaussian)(S, th, x, y, (0.5 * sigma) * x**2) * as_bicomplex(psi(x))
-
-    val = integrate_real(integrand, rule)
-    return (normalization_c(0, sigma) * pref) * val
+    kernel = functools.partial(_folded_kernel, sigma, S, th)
+    return _kernel_sum(psi, rule.nodes, rule.weights, kernel, y, scale=normalization_c(0, sigma) * pref)
 
 
 def frft_inverse(
@@ -280,7 +286,7 @@ def gaussian_integral_closed(gamma: float, a: complex, b: complex, c: complex, d
     square root is the principal branch; a and b enter in units of gamma.  A value outside
     float range (an overflowing exponent, or NaN/inf in the arguments) raises NonFiniteError.
     """
-    _require_positive("gamma", gamma)
+    gamma = _require_positive("gamma", gamma)
     a, b, c, d = complex(a), complex(b), complex(c), complex(d)
     if not math.hypot((a + b).real, (a - b).imag) < gamma:
         raise DomainError("requires Re(a+b)**2 + Im(a-b)**2 < gamma**2")

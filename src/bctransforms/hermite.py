@@ -47,10 +47,11 @@ __all__ = [
 ]
 
 
-def _validate(n: int, sigma: float) -> None:
+def _validate(n: int, sigma: float) -> float:
+    """``sigma`` as a Python float, once the degree and the weight are checked."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    _require_positive("sigma", sigma)
+    return _require_positive("sigma", sigma)
 
 
 def _ratios(degree: int, c: float) -> np.ndarray:
@@ -103,7 +104,7 @@ def hermite_sigma_bc(n: int, sigma: float, Z: Bicomplex) -> Bicomplex:
 
 def hermite_norm_sq(n: int, sigma: float) -> float:
     """Squared weighted norm (2 sigma)**n n! of H_n; outside float range it raises NonFiniteError."""
-    _validate(n, sigma)
+    sigma = _validate(n, sigma)
     return _weight(n, 2.0 * sigma)
 
 
@@ -115,7 +116,7 @@ def psi_n(n: int, sigma: float, x):
 def psi_values(n_max: int, sigma: float, x) -> list:
     """All of psi_0 .. psi_{n_max} at ``x`` in one recurrence pass; a value
     outside float range raises NonFiniteError."""
-    _validate(n_max, sigma)
+    sigma = _validate(n_max, sigma)
     message = f"psi_{n_max} at sigma={sigma} is outside float range"
     with np.errstate(all="ignore"):
         try:
@@ -140,8 +141,7 @@ def generating_G(sigma: float, nu: float, x, Z: Bicomplex) -> Bicomplex:
 
     ``x`` may be a scalar or ndarray; ``Z`` a Bicomplex value.
     """
-    _require_positive("sigma", sigma)
-    _require_positive("nu", nu)
+    sigma, nu = _require_positive("sigma", sigma), _require_positive("nu", nu)
     return _channelwise(_generating)(sigma, nu, x, as_bicomplex(Z))
 
 
@@ -154,8 +154,7 @@ def generating_series(sigma: float, nu: float, x, Z: Bicomplex, n_terms: int = 6
     """
     if n_terms < 1:
         raise ValueError("need at least one term")
-    _validate(n_terms - 1, sigma)
-    _require_positive("nu", nu)
+    sigma, nu = _validate(n_terms - 1, sigma), _require_positive("nu", nu)
     Zs = conj_star(as_bicomplex(Z))
     terms = zip(_ladder(n_terms - 1, sigma, x), _scale(n_terms - 1, 2.0 / nu).tolist())
     acc = as_bicomplex(next(terms)[0])  # r_0 = 1

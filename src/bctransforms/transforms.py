@@ -26,6 +26,7 @@ the ring from its values on the complex slice ``z + j 0``.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -35,14 +36,7 @@ from .bicomplex import Bicomplex, _channelwise, _fails_closed, as_bicomplex, con
 from .bargmann import HermiteCoeffVector, MonomialCoeffVector, kernel_K_BC
 from .errors import _require_positive
 from .hermite import generating_G
-from .quadrature import (
-    DEFAULT_ORDER,
-    gauss_hermite,
-    integrate_bicomplex,
-    integrate_complex,
-    integrate_real,
-    normalization_c,
-)
+from .quadrature import DEFAULT_ORDER, _complex_grid, _kernel_sum, gauss_hermite, normalization_c
 
 __all__ = [
     "sbt_kernel_C",
@@ -72,8 +66,7 @@ def _gaussian_kernel(sigma, gamma, x, z):
 @_fails_closed
 def sbt_kernel_C(sigma: float, gamma: float, x: float, z: complex) -> complex:
     """Classical Gaussian kernel c_0 exp(-sigma (x - sqrt(gamma/(2 sigma)) z)**2)."""
-    _require_positive("sigma", sigma)
-    _require_positive("gamma", gamma)
+    sigma, gamma = _require_positive("sigma", sigma), _require_positive("gamma", gamma)
     return _gaussian_kernel(sigma, gamma, x, z)
 
 
@@ -81,8 +74,7 @@ def sbt_kernel_C(sigma: float, gamma: float, x: float, z: complex) -> complex:
 def sbt_kernel_BC(sigma: float, nu: float, x: float, Z: Bicomplex) -> Bicomplex:
     """Bicomplex kernel c_0 exp(-sigma (x - sqrt(nu/(4 sigma)) Z)**2): the
     Gaussian kernel with gamma = nu/2 on each channel."""
-    _require_positive("sigma", sigma)
-    _require_positive("nu", nu)
+    sigma, nu = _require_positive("sigma", sigma), _require_positive("nu", nu)
     return _channelwise(_gaussian_kernel)(sigma, 0.5 * nu, x, as_bicomplex(Z))
 
 
@@ -109,17 +101,16 @@ def sbt_forward_integral(
 
     The kernel c_0 exp(-sigma (x - a Z)**2) equals c_0 exp(-sigma x**2)
     generating_G(x, Z*); the rule carries the Gaussian factor (gamma = sigma)
-    and the integrand is G(x, Z*) phi(x).  ``phi`` is evaluated on the whole
-    node array; ``vectorized`` is accepted for compatibility only.
+    and generating_G(x, Z*) weights the nodes.  ``phi`` is called once, on
+    the node array; ``Z`` may be an array value, whose shape the result takes
+    (a scalar ``Z`` gives ``complex`` channels).  ``vectorized`` is accepted
+    for compatibility only.
     """
-    Zs = conj_star(as_bicomplex(Z))
-    rule = gauss_hermite(order, sigma)
+    rule, Zs = gauss_hermite(order, sigma), conj_star(as_bicomplex(Z))
 
-    def integrand(x):
-        return generating_G(sigma, nu, x, Zs) * as_bicomplex(phi(x))
-
-    val = integrate_real(integrand, rule)
-    return normalization_c(0, sigma) * val
+    def kernel(P, x):
+        return generating_G(sigma, nu, x, P)
+    return _kernel_sum(phi, rule.nodes, rule.weights, kernel, Zs, scale=normalization_c(0, sigma))
 
 
 def sbt_inverse_integral(
@@ -136,31 +127,27 @@ def sbt_inverse_integral(
     method="split" (default) exploits the channel factorization of the
     integral: a holomorphic function restricted to the slice z + j 0 carries
     both channel values, so each channel reduces to one planar integral with
-    weight exp(-(nu/2)|xi|**2) and the residual generating_G(x, xi).
+    weight exp(-(nu/2)|xi|**2) and the residual generating_G(x, xi); ``f`` is
+    called once, on the slice nodes.
 
     method="tensor" evaluates the literal integral of generating_G(x, Z) f(Z)
     over the ring with the same rule on every real coordinate; it costs
-    order**4 evaluations and exists to cross-check the split path.
+    order**4 evaluations and exists to cross-check the split path.  ``x`` may
+    be an array, whose shape the result takes (a scalar gives ``complex``
+    channels).
     """
-    _require_positive("sigma", sigma)
-    _require_positive("nu", nu)
-    rule = gauss_hermite(order, nu / 2.0)
-
+    sigma, nu = _require_positive("sigma", sigma), _require_positive("nu", nu)
+    xi, w2 = _complex_grid(gauss_hermite(order, nu / 2.0))
     if method == "split":
-        def integrand(xi):
-            # both channels of G are equal on the slice, so one channel is computed
-            resid = generating_G(sigma, nu, x, Bicomplex.from_channels(xi, 0j)).alpha
-            return resid * as_bicomplex(f(Bicomplex.from_complex(xi)))
+        # both channels of G are equal on the slice, so one channel is computed
+        def kernel(x, W):
+            return generating_G(sigma, nu, x, Bicomplex.from_channels(W.alpha, 0j)).alpha
 
-        val = integrate_complex(integrand, rule)
-        return normalization_c(1, nu / 2.0) * val
+        return _kernel_sum(f, Bicomplex.from_complex(xi), w2, kernel, x, scale=normalization_c(1, nu / 2.0))
 
     if method == "tensor":
-        def integrand_bc(Z: Bicomplex) -> Bicomplex:
-            return generating_G(sigma, nu, x, Z) * as_bicomplex(f(Z))
-
-        val = integrate_bicomplex(integrand_bc, nu, rule)
-        return normalization_c("BC", nu) * val
+        kernel = functools.partial(generating_G, sigma, nu)
+        return _kernel_sum(f, xi, w2, kernel, x, scale=0.25 * normalization_c("BC", nu), ring=True)
 
     raise ValueError(f"unknown method {method!r}")
 
@@ -179,14 +166,10 @@ def s_transform(
     dlambda(xi), where kernel_K_BC(nu, Z, xi) = exp(+(nu/2) Z conj(xi)); on
     monomials xi**n it returns Z**n.  The plus sign in the exponent is the
     convention under which that monomial identity holds (the verification
-    suite pins it numerically).  ``vectorized`` is accepted for
-    compatibility only.
+    suite pins it numerically).  ``F`` is called once, on the planar nodes;
+    ``Z`` may be an array value, whose shape the result takes (a scalar gives
+    ``complex`` channels).  ``vectorized`` is accepted for compatibility only.
     """
-    Z = as_bicomplex(Z)
-    rule = gauss_hermite(order, nu / 2.0)
-
-    def integrand(xi):
-        return kernel_K_BC(nu, Z, xi) * as_bicomplex(F(xi))
-
-    val = integrate_complex(integrand, rule)
-    return normalization_c(1, nu / 2.0) * val
+    xi, w2 = _complex_grid(gauss_hermite(order, nu / 2.0))
+    kernel = functools.partial(kernel_K_BC, nu)
+    return _kernel_sum(F, xi, w2, kernel, as_bicomplex(Z), scale=normalization_c(1, nu / 2.0))

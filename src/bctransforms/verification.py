@@ -5,11 +5,11 @@ A case is a generator of errors, registered where it is defined: add one as
 holds the run's parameters and the id prefix names the suite.  The runner
 reduces the errors with ``_worst``, a max that keeps NaN, so a NaN fails its
 case and a case that raises reads inf.  A case that samples draws all its
-samples at once and checks them as one array-valued Bicomplex, one
-``float(np.max(...))`` per check (np.max keeps a NaN too).  Errors are measured in the Euclidean
-bicomplex norm (or in ulps where noted).  Reports serialize to JSON and CSV;
-with a fixed seed the content is reproducible run to run, apart from the
-wall-time field.
+samples at once and checks them as one array-valued Bicomplex (an integral
+form takes them in one call), one ``float(np.max(...))`` per check (np.max
+keeps a NaN too).  Errors are measured in the Euclidean bicomplex norm (or
+in ulps where noted).  Reports serialize to JSON and CSV; with a fixed seed
+the content is reproducible run to run, apart from the wall-time field.
 """
 
 from __future__ import annotations
@@ -494,12 +494,10 @@ def _(p):
 
 @_case("bargmann/reproducing", 1e-8, "projection reproduces monomials at random interior points")
 def _(p):
-    rng = _rng(p)
-    pts = [_rand_bc_bounded(rng, 1.5) for _ in range(5)]
+    Z = _rand_bcs_bounded(_rng(p), 5, 1.5)
     for n in range(7):
-        for Z in pts:
-            got = project_P(lambda W, n=n: W**n, p.nu, Z, order=24)
-            yield bc.norm(got - Z**n)
+        got = project_P(lambda W, n=n: W**n, p.nu, Z, order=24)
+        yield float(np.max(bc.norm(got - Z**n)))
 
 @_case("bargmann/annihilates-antiholomorphic", 1e-10, "projection kills the conjugate coordinate")
 def _(p):
@@ -570,15 +568,10 @@ def _(p):
 
 @_case("transform/hermite-action", 1e-8, "integral transform sends psi_n to its scaled monomial for n <= 10")
 def _(p):
-    rng = _rng(p)
-    pts = [_rand_bc_bounded(rng, 2.0) for _ in range(4)]
+    Z = _rand_bcs_bounded(_rng(p), 4, 2.0)
     for n in range(11):
-        coeff = _basis_scale(n, p.nu)
-        for Z in pts:
-            got = sbt_forward_integral(
-                lambda x, n=n: psi_n(n, p.sigma, x), p.sigma, p.nu, Z, order=p.order
-            )
-            yield bc.norm(got - coeff * Z**n)
+        got = sbt_forward_integral(lambda x, n=n: psi_n(n, p.sigma, x), p.sigma, p.nu, Z, order=p.order)
+        yield float(np.max(bc.norm(got - _basis_scale(n, p.nu) * Z**n)))
 
 @_case("transform/isometry", 1e-10, "the coefficient map preserves the norm on degree <= 10 vectors")
 def _(p):
@@ -591,11 +584,9 @@ def _(p):
     rng = _rng(p)
     for _ in range(5):
         f = _rand_hermite_vec(rng, 10, p.sigma)
-        F = sbt_forward(f, p.nu)
-        for _ in range(3):
-            Z = _rand_bc_bounded(rng, 2.0)
-            got = sbt_forward_integral(f.evaluate, p.sigma, p.nu, Z, order=p.order)
-            yield bc.norm(got - eval_monomial_series(F, Z))
+        Z = _rand_bcs_bounded(rng, 3, 2.0)
+        got = sbt_forward_integral(f.evaluate, p.sigma, p.nu, Z, order=p.order)
+        yield float(np.max(bc.norm(got - eval_monomial_series(sbt_forward(f, p.nu), Z))))
 
 @_case("transform/roundtrip-coeff", 1e-13, "inverse coefficient map undoes the forward map")
 def _(p):
@@ -607,13 +598,10 @@ def _(p):
 
 @_case("transform/inverse-integral", 1e-7, "integral inverse returns psi_n from its monomial image")
 def _(p):
+    x = np.array([0.0, 0.7, -0.7, 1.5, -1.5])
     for n in range(7):
-        coeff = _basis_scale(n, p.nu)
-        for x in (0.0, 0.7, -0.7, 1.5, -1.5):
-            got = sbt_inverse_integral(
-                lambda Z, n=n, c=coeff: c * Z**n, p.sigma, p.nu, x
-            )
-            yield bc.norm(got - psi_n(n, p.sigma, x) * bc.ONE)
+        got = sbt_inverse_integral(lambda Z, n=n, c=_basis_scale(n, p.nu): c * Z**n, p.sigma, p.nu, x)
+        yield float(np.max(bc.norm(got - psi_n(n, p.sigma, x) * bc.ONE)))
 
 @_case("transform/inverse-split-vs-tensor", 1e-9, "channel-factorized inverse agrees with the literal ring integral")
 def _(p):
@@ -640,12 +628,10 @@ def _(p):
 
 @_case("transform/slice-monomials", 1e-8, "slice transform sends xi^n to Z^n (plus-sign exponent convention)")
 def _(p):
-    rng = _rng(p)
-    pts = [_rand_bc_bounded(rng, 1.2) for _ in range(5)]
+    Z = _rand_bcs_bounded(_rng(p), 5, 1.2)
     for n in range(6):
-        for Z in pts:
-            got = s_transform(lambda xi, n=n: xi**n, p.nu, Z, order=p.order)
-            yield bc.norm(got - Z**n)
+        got = s_transform(lambda xi, n=n: xi**n, p.nu, Z, order=p.order)
+        yield float(np.max(bc.norm(got - Z**n)))
 
 @_case("transform/slice-norm-transport", 1e-10, "monomial norms agree between the plane and the ring")
 def _(p):
@@ -662,14 +648,9 @@ def _(p):
     rng = _rng(p)
     for _ in range(3):
         f = _rand_monomial_vec(rng, 5, p.nu)
-
-        def restriction(xi, f=f):
-            return eval_monomial_series(f, Bicomplex(xi, np.zeros_like(xi)))
-
-        for _ in range(5):
-            Z = _rand_bc_bounded(rng, 1.2)
-            got = s_transform(restriction, p.nu, Z, order=p.order)
-            yield bc.norm(got - eval_monomial_series(f, Z))
+        Z = _rand_bcs_bounded(rng, 5, 1.2)
+        got = s_transform(lambda xi, f=f: f.evaluate(Bicomplex(xi, np.zeros_like(xi))), p.nu, Z, order=p.order)
+        yield float(np.max(bc.norm(got - f.evaluate(Z))))
 
 
 # -------------------------------------------------------------------- frft
@@ -696,14 +677,11 @@ def _frft_order(p: _Params) -> int:
 
 @_case("frft/eigenfunctions", 1e-8, "integral path scales psi_n by theta^n for n <= 8")
 def _(p):
+    y = np.array([0.0, 0.6, -1.1])
     for theta in _thetas(p):
         for n in range(9):
-            expect_coeff = bc.pow(theta.theta, n)
-            for y in (0.0, 0.6, -1.1):
-                got = frft_apply(
-                    lambda x, n=n: psi_n(n, p.sigma, x), theta, y, sigma=p.sigma, order=_frft_order(p)
-                )
-                yield bc.norm(got - expect_coeff * psi_n(n, p.sigma, y))
+            got = frft_apply(lambda x, n=n: psi_n(n, p.sigma, x), theta, y, sigma=p.sigma, order=_frft_order(p))
+            yield float(np.max(bc.norm(got - bc.pow(theta.theta, n) * psi_n(n, p.sigma, y))))
 
 @_case("frft/plancherel", 1e-9, "unit-torus rotation preserves the norm on degree <= 8 vectors")
 def _(p):
@@ -721,12 +699,12 @@ def _(p):
     # exact diagonal action and only the inverting factor is integrated
     rng = _rng(p)
     theta = _thetas(p)[0]
+    y = np.array([0.0, 0.8, -1.2])
     for _ in range(3):
         f = _rand_hermite_vec(rng, 8, p.sigma)
         rotated = frft_coefficients(f, theta)
-        for y in (0.0, 0.8, -1.2):
-            got = frft_inverse(rotated.evaluate, theta, y, sigma=p.sigma, order=_frft_order(p))
-            yield bc.norm(got - as_bicomplex(f.evaluate(y)))
+        got = frft_inverse(rotated.evaluate, theta, y, sigma=p.sigma, order=_frft_order(p))
+        yield float(np.max(bc.norm(got - f.evaluate(y))))
 
 @_case("frft/semigroup", 1e-7, "rotations compose multiplicatively in theta")
 def _(p):
@@ -737,49 +715,47 @@ def _(p):
     steps = ((0.35, theta.theta.alpha), (0.6, theta.theta.beta))
     rho = ThetaParam.from_phases(*(math.copysign(step, math.sin(2.0 * np.angle(v))) for step, v in steps))
     combined = ThetaParam(theta.theta * rho.theta)
+    y = np.array([0.3, -0.9])
     for n in range(5):
         vec = HermiteCoeffVector.basis(n, p.sigma)
         rotated = frft_coefficients(vec, rho)
-        for y in (0.3, -0.9):
-            lhs = frft_apply(rotated.evaluate, theta, y, sigma=p.sigma, order=_frft_order(p))
-            rhs = frft_apply(vec.evaluate, combined, y, sigma=p.sigma, order=_frft_order(p))
-            yield bc.norm(lhs - rhs)
+        lhs = frft_apply(rotated.evaluate, theta, y, sigma=p.sigma, order=_frft_order(p))
+        rhs = frft_apply(vec.evaluate, combined, y, sigma=p.sigma, order=_frft_order(p))
+        yield float(np.max(bc.norm(lhs - rhs)))
 
 @_case("frft/factorization", 1e-7, "rotation = inverse transform of the theta-dilated forward transform")
 def _(p):
     rng = _rng(p)
     thetas = _thetas(p)
     theta = thetas[1] if len(thetas) > 1 else thetas[0]
+    x = np.array([0.0, 0.7, -0.7])
     for _ in range(3):
         f = _rand_hermite_vec(rng, 6, p.sigma)
         F = sbt_forward(f, p.nu)
         n = np.arange(F.degree + 1)
         theta_n = Bicomplex.from_channels(theta.theta.alpha ** n, theta.theta.beta ** n)
         dilated = MonomialCoeffVector(p.nu, theta_n * F.coeffs)
-        for x in (0.0, 0.7, -0.7):
-            lhs = frft_apply(f.evaluate, theta, x, sigma=p.sigma, order=_frft_order(p))
-            rhs = sbt_inverse_integral(
-                lambda Z, d=dilated: eval_monomial_series(d, Z), p.sigma, p.nu, x
-            )
-            yield bc.norm(lhs - rhs)
+        lhs = frft_apply(f.evaluate, theta, x, sigma=p.sigma, order=_frft_order(p))
+        rhs = sbt_inverse_integral(dilated.evaluate, p.sigma, p.nu, x)
+        yield float(np.max(bc.norm(lhs - rhs)))
 
 @_case("frft/coeff-vs-integral", 1e-8, "diagonal coefficient path agrees with the kernel quadrature")
 def _(p):
     rng = _rng(p)
+    y = np.array([0.0, 0.5, -1.0])
     for theta in _thetas(p)[:2]:
         f = _rand_hermite_vec(rng, 8, p.sigma)
-        for y in (0.0, 0.5, -1.0):
-            fast = frft_apply(f, theta, y)
-            slow = frft_apply(f.evaluate, theta, y, sigma=p.sigma, order=_frft_order(p))
-            yield bc.norm(fast - slow)
+        fast = frft_apply(f, theta, y)
+        slow = frft_apply(f.evaluate, theta, y, sigma=p.sigma, order=_frft_order(p))
+        yield float(np.max(bc.norm(fast - slow)))
 
 @_case("frft/fourier-reduction", 1e-9, "unit-phase i rotation reproduces the classical eigenvalue ladder i^n")
 def _(p):
     theta = ThetaParam.from_phases(math.pi / 2.0, math.pi / 2.0)
+    y = np.array([0.0, 0.4, -1.3])
     for n in range(7):
-        for y in (0.0, 0.4, -1.3):
-            got = frft_apply(lambda x, n=n: psi_n(n, 1.0, x), theta, y, sigma=1.0, order=_frft_order(p))
-            yield bc.norm(got - (1j**n) * psi_n(n, 1.0, y) * bc.ONE)
+        got = frft_apply(lambda x, n=n: psi_n(n, 1.0, x), theta, y, sigma=1.0, order=_frft_order(p))
+        yield float(np.max(bc.norm(got - (1j**n) * psi_n(n, 1.0, y) * bc.ONE)))
     x0, y0 = 0.3, -0.8
     kern = frft_kernel(1.0, theta, x0, y0)
     classic = (

@@ -1,5 +1,6 @@
 """Weight-parameter guards and fail-closed closed-form kernels, across modules."""
 
+import json
 import math
 import warnings
 
@@ -23,6 +24,8 @@ from bctransforms.errors import BCTransformsError, DomainError, NonFiniteError
 from bctransforms.frft import (
     ThetaParam,
     ck_frft_kernel,
+    frft_apply,
+    frft_inverse,
     frft_kernel,
     gaussian_integral_closed,
     mehler_bilinear_bc,
@@ -39,7 +42,7 @@ from bctransforms.hermite import (
     psi_n,
     psi_values,
 )
-from bctransforms.quadrature import gauss_hermite, integrate_bicomplex, normalization_c
+from bctransforms.quadrature import QuadratureRule, gauss_hermite, integrate_bicomplex, normalization_c
 from bctransforms.transforms import (
     s_transform,
     sbt_forward,
@@ -92,16 +95,40 @@ def test_weight_parameter_must_be_positive_and_finite(name, bad):
     assert "positive and finite" in str(info.value)
 
 
+def _outcome(call, v):
+    """What ``call(v)`` gives, as comparable data: the type and message of the
+    error it raises, or each number it returns as its dtype and bytes."""
+    try:
+        value = call(v)
+    except BCTransformsError as err:
+        return type(err), str(err)
+    parts = {
+        Bicomplex: lambda x: [x.alpha, x.beta],
+        QuadratureRule: lambda x: [x.gamma, x.nodes, x.weights],
+        HermiteCoeffVector: lambda x: [x.sigma, x.coeffs.alpha, x.coeffs.beta],
+        MonomialCoeffVector: lambda x: [x.nu, x.coeffs.alpha, x.coeffs.beta],
+        list: list,
+    }.get(type(value), lambda x: [x])(value)
+    return [(type(p).__name__, np.asarray(p).dtype.str, np.asarray(p).tobytes()) for p in parts]
+
+
 @pytest.mark.parametrize("name", list(WEIGHT_CALLS))
 def test_float32_weight_is_accepted(name):
     # comparing a float32 with the float maximum once cast that maximum to
-    # float32, which overflowed with a RuntimeWarning
+    # float32, which overflowed with a RuntimeWarning; and a guard that dropped
+    # the float it returns left the call to compute in single precision
+    v = np.float32(1.3)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        try:
-            WEIGHT_CALLS[name](np.float32(1.0))
-        except BCTransformsError as err:  # a later check on another argument
-            assert "positive and finite" not in str(err)
+        assert _outcome(WEIGHT_CALLS[name], v) == _outcome(WEIGHT_CALLS[name], float(v))
+
+
+def test_float32_weight_vector_round_trips_through_json():
+    h = HermiteCoeffVector(np.float32(1.3), [1.0, 0.5])
+    assert type(h.sigma) is float
+    back = HermiteCoeffVector.from_json(json.loads(json.dumps(h.to_json())))
+    assert back.sigma == float(np.float32(1.3))
+    assert back.coeffs.alpha.tobytes() == h.coeffs.alpha.tobytes()
 
 
 def test_monomial_norm_underflow_raises():
@@ -179,6 +206,7 @@ OVERFLOWING_INTEGRALS = {
         lambda Z: Z, 1.0, 2.0, 400.0, order=8, method="tensor"
     ),
     "project_P": lambda: project_P(lambda W: W, 2.0, Bicomplex(400.0, 0j), vectorized=True),
+    "frft_apply": lambda: frft_apply(lambda t: 1.0 + 0 * t, ThetaParam.from_phases(0.9, 2.2), 400.0, sigma=1.0),
 }
 
 
@@ -223,6 +251,15 @@ _THETA = st.builds(ThetaParam.from_phases, _PHASE, _PHASE)
 _DEGREE = st.integers(0, 40)
 _TERMS = st.integers(1, 60)
 _ENTRIES = st.lists(_BC, min_size=1, max_size=6)
+_POINTS = st.lists(st.tuples(_COMPLEX, _COMPLEX), min_size=1, max_size=4)
+_REALS = st.lists(_REAL, min_size=1, max_size=4)
+
+
+def _bc_array(components):
+    """One array value of the drawn (z1, z2) component pairs; a channel past
+    float range raises NonFiniteError, as it does for a scalar."""
+    z1, z2 = (np.array(c, dtype=complex) for c in zip(*components))
+    return Bicomplex(z1, z2)
 
 
 def _pair(cls, d):
@@ -279,6 +316,25 @@ FAILS_CLOSED = {
     ).coeffs,
     "sbt_inverse_coeff": lambda d: sbt_inverse_coeff(
         MonomialCoeffVector(d.draw(_WEIGHT), d.draw(_ENTRIES)), d.draw(_WEIGHT)
+    ),
+    # the integral forms at arrays of points, with integrands that stay finite
+    # on every node; small orders keep the examples fast
+    "sbt_forward_integral": lambda d: sbt_forward_integral(
+        lambda x: x, d.draw(_WEIGHT), d.draw(_WEIGHT), _bc_array(d.draw(_POINTS)), order=6
+    ),
+    "sbt_inverse_integral.split": lambda d: sbt_inverse_integral(
+        lambda Z: Z, d.draw(_WEIGHT), d.draw(_WEIGHT), np.array(d.draw(_REALS)), order=6
+    ),
+    "sbt_inverse_integral.tensor": lambda d: sbt_inverse_integral(
+        lambda Z: Z, d.draw(_WEIGHT), d.draw(_WEIGHT), np.array(d.draw(_REALS)), order=4, method="tensor"
+    ),
+    "s_transform": lambda d: s_transform(lambda xi: xi, d.draw(_WEIGHT), _bc_array(d.draw(_POINTS)), order=6),
+    "project_P": lambda d: project_P(lambda W: W, d.draw(_WEIGHT), _bc_array(d.draw(_POINTS)), order=4),
+    "frft_apply": lambda d: frft_apply(
+        lambda x: x, d.draw(_THETA), np.array(d.draw(_REALS)), sigma=d.draw(_WEIGHT), order=6
+    ),
+    "frft_inverse": lambda d: frft_inverse(
+        lambda x: x, d.draw(_THETA), np.array(d.draw(_REALS)), sigma=d.draw(_WEIGHT), order=6
     ),
 }
 
