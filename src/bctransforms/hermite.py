@@ -16,7 +16,8 @@ ratio ladder r_n = r_{n-1} / sqrt(c n): at c = 2/nu, r_n Z**n is the unit
 vector e_n that the coherent-state transform pairs with psi_n, r_n links a
 monomial vector's raw coefficients to its e_n coordinates, and 1/r_n**2 is
 the squared norm of Z**n.  At sigma = 1 the psi ladder gives the
-Gauss-Hermite weights sqrt(pi) / sum_{k<n} psi_k(t_i)**2 in ``quadrature``.
+Gauss-Hermite weights sqrt(pi) / sum_{k<n} psi_k(t_i)**2 in ``quadrature``,
+and in ratio form the Newton steps psi_n / psi_n' that refine its nodes.
 
 Limits: Cramer's bound |psi_n(x)| < exp(sigma x**2 / 2) keeps psi_n finite
 at every degree for |x| below about 37 / sqrt(sigma).  At sigma = 1 the norm
@@ -88,6 +89,19 @@ def _ladder(n: int, sigma: float, x):
     for k in range(n):
         p_prev, p = p, (root_c_x * p - math.sqrt(k) * p_prev) / math.sqrt(k + 1)
         yield p
+
+
+def _ladder_ratio(n: int, x: np.ndarray) -> np.ndarray:
+    """psi_n(x) / psi_{n-1}(x) at sigma = 1, n >= 1: the ladder of :func:`_ladder`
+    carried in ratio form, u_k = sqrt(k) psi_k / psi_{k-1} with u_1 = sqrt(2) x
+    and u_{k+1} = sqrt(2) x - k / u_k, so no rung leaves float range where
+    psi_n itself would.  A rung through 0 passes to +-inf and back to a finite
+    rung, as the recurrence prescribes, so numpy warnings are silenced."""
+    u = root2_x = math.sqrt(2.0) * x
+    with np.errstate(all="ignore"):
+        for k in range(1, n):
+            u = root2_x - k / u
+    return u / math.sqrt(n)
 
 
 @_fails_closed

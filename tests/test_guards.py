@@ -42,7 +42,14 @@ from bctransforms.hermite import (
     psi_n,
     psi_values,
 )
-from bctransforms.quadrature import QuadratureRule, gauss_hermite, integrate_bicomplex, normalization_c
+from bctransforms.quadrature import (
+    QuadratureRule,
+    gauss_hermite,
+    integrate_bicomplex,
+    integrate_complex,
+    integrate_real,
+    normalization_c,
+)
 from bctransforms.transforms import (
     s_transform,
     sbt_forward,
@@ -268,6 +275,19 @@ def _pair(cls, d):
     return cls(w, d.draw(_ENTRIES)), cls(w, d.draw(_ENTRIES))
 
 
+def _rule_arrays(rule: QuadratureRule) -> np.ndarray:
+    return np.concatenate((rule.nodes, rule.weights))
+
+
+def _small_rule(d, max_order: int, gamma: float) -> QuadratureRule:
+    return gauss_hermite(d.draw(st.integers(1, max_order)), gamma)
+
+
+def _ring_square_integral(d):
+    nu = d.draw(_WEIGHT)
+    return integrate_bicomplex(lambda Z: Z * Z, nu, _small_rule(d, 5, nu / 2.0))
+
+
 # every function that fails closed through one decorator, and the ones that
 # only delegate to such a function; each entry draws its own arguments
 FAILS_CLOSED = {
@@ -336,6 +356,12 @@ FAILS_CLOSED = {
     "frft_inverse": lambda d: frft_inverse(
         lambda x: x, d.draw(_THETA), np.array(d.draw(_REALS)), sigma=d.draw(_WEIGHT), order=6
     ),
+    # the rules and the integrators on them; a weight near 1e-300 spreads the
+    # nodes to 1e150, so a squared integrand times the weights leaves float range
+    "gauss_hermite": lambda d: _rule_arrays(gauss_hermite(d.draw(st.integers(1, 400)), d.draw(_WEIGHT))),
+    "integrate_real": lambda d: integrate_real(lambda t: t * t, _small_rule(d, 12, d.draw(_WEIGHT))),
+    "integrate_complex": lambda d: integrate_complex(lambda xi: xi * xi, _small_rule(d, 12, d.draw(_WEIGHT))),
+    "integrate_bicomplex": _ring_square_integral,
 }
 
 

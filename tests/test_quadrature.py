@@ -19,10 +19,13 @@ from bctransforms import (
     normalization_c,
     project_P,
 )
-from bctransforms import bargmann
+from bctransforms import bargmann, quadrature
 from bctransforms import bicomplex as bc
-from bctransforms.errors import DomainError, NonFiniteError
+from bctransforms.errors import ConvergenceError, DomainError, NonFiniteError
 from bctransforms.quadrature import DEFAULT_BC_ORDER, DEFAULT_ORDER, QuadratureRule
+
+#: orders whose rules are compared with numpy's hermgauss
+_ORACLE_ORDERS = (*range(1, 301), 500, 999, 1000, 1001, 2000)
 
 
 def scalar(result):
@@ -38,10 +41,38 @@ class TestRuleConstruction:
         assert_allclose(rule.weights, [math.sqrt(math.pi)])
 
     def test_symmetry_is_exact(self):
-        for order in (2, 7, 64):
+        for order in _ORACLE_ORDERS:
             rule = gauss_hermite(order, 1.0)
-            assert_allclose(rule.nodes, -rule.nodes[::-1], rtol=0, atol=0)
-            assert_allclose(rule.weights, rule.weights[::-1], rtol=0, atol=0)
+            assert_allclose(rule.nodes, -rule.nodes[::-1], rtol=0, atol=0, err_msg=f"order {order}")
+            assert_allclose(rule.weights, rule.weights[::-1], rtol=0, atol=0, err_msg=f"order {order}")
+
+    def test_against_numpy_hermgauss(self):
+        # an independent construction: numpy's companion-matrix eigenvalues
+        # after one Newton step; from order 999 its outermost nodes are NaN
+        # and from order 500 its weights overflow, so only its finite values
+        # (weights above 1e-280) are compared
+        for order in _ORACLE_ORDERS:
+            rule = gauss_hermite(order, 1.0)
+            with np.errstate(all="ignore"):
+                nodes, weights = np.polynomial.hermite.hermgauss(order)
+            finite = np.isfinite(nodes)
+            assert 2 * finite.sum() >= order, order
+            node_err = np.abs(rule.nodes[finite] - nodes[finite]) / np.maximum(1.0, np.abs(nodes[finite]))
+            assert node_err.max() <= 1e-14, (order, node_err.max())
+            kept = np.isfinite(weights) & (weights > 1e-280)
+            weight_err = np.abs(rule.weights[kept] - weights[kept]) / weights[kept]
+            assert weight_err.max(initial=0.0) <= 1e-12, (order, weight_err.max())
+
+    @pytest.mark.parametrize("start", [1.0, 0.0], ids=["all-equal", "all-zero"])
+    @pytest.mark.parametrize("order", [8, 9, 64])
+    def test_degenerate_start_fails_closed(self, monkeypatch, order, start):
+        # Newton from equal first guesses takes every node to one root (not
+        # strictly increasing); from 0 it divides by psi_{n-1}(0) = 0 at an
+        # even order (NaN) and stays on the root 0 at an odd one; the uncached
+        # construction is called, so the rule cache is not touched
+        monkeypatch.setattr(quadrature, "_initial_nodes", lambda n: np.full(n // 2, start))
+        with pytest.raises(ConvergenceError, match=f"order {order} did not converge"):
+            quadrature._standard_rule.__wrapped__(order)
 
     def test_gamma_scaling(self):
         base = gauss_hermite(16, 1.0)
@@ -66,11 +97,12 @@ class TestRuleConstruction:
         with pytest.raises(ValueError):
             rule.nodes[0] = 0.0
 
-    @pytest.mark.parametrize("order", [2, 7, 64, 128, 256, 1000])
+    @pytest.mark.parametrize("order", [2, 7, 64, 65, 128, 256, 999, 1000, 1001])
     def test_weights_against_mpmath(self, order):
         # reference: the root of H_n refined by Newton from the float node at
         # 40 digits, and its weight 2**(n-1) n! sqrt(pi) / (n H_{n-1}(x))**2;
-        # eigenvector weights are off by 1e44 at order 128 in the tail
+        # eigenvector weights are off by 1e44 at order 128 in the tail; at an
+        # odd order the first sampled node is the root 0
         rule = gauss_hermite(order, 1.0)
         n = order
         with mp.workdps(40):
@@ -79,10 +111,11 @@ class TestRuleConstruction:
                 for _ in range(8):
                     h_prev, h = _mp_hermite_pair(n, x)
                     x -= h / (2 * n * h_prev)  # H_n' = 2n H_{n-1}
+                assert abs(rule.nodes[i] - x) <= 1e-14 * max(1, abs(x)), (n, i, rule.nodes[i], x)
                 want = mp.mpf(2) ** (n - 1) * mp.factorial(n) * mp.sqrt(mp.pi) / (n * _mp_hermite_pair(n, x)[0]) ** 2
                 got = rule.weights[i]
                 if want > mp.mpf("1e-300"):
-                    assert abs(got - want) <= 1e-11 * want, (n, i, got, want)
+                    assert abs(got - want) <= 1e-12 * want, (n, i, got, want)
                 else:  # below 1e-300 the weight underflows; it must not be garbage
                     assert got <= 1e-290, (n, i, got, want)
 
