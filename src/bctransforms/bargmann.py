@@ -37,16 +37,7 @@ from .bicomplex import (
 )
 from .errors import DimensionMismatch, _require_positive
 from .hermite import _ratios, _scale, _weight, psi_values
-from .quadrature import (
-    DEFAULT_BC_ORDER,
-    DEFAULT_ORDER,
-    _complex_grid,
-    _kernel_sum,
-    gauss_hermite,
-    integrate_bicomplex,
-    integrate_real,
-    normalization_c,
-)
+from .quadrature import DEFAULT_BC_ORDER, DEFAULT_ORDER, _gaussian_sum
 
 __all__ = [
     "HermiteCoeffVector",
@@ -234,10 +225,10 @@ def monomial_norm_sq(n: int, nu: float) -> float:
     return _weight(n, 2.0 / nu)
 
 
-def _inner(cls, f, g, param, integrate) -> Bicomplex:
+def _inner(cls, space, f, g, param, order) -> Bicomplex:
     """Two ``cls`` vectors pair on their coordinates.  Otherwise the pointwise
-    pairing h is integrated as ``integrate(h, param)``, with ``param`` taken
-    from the vector operand when it is not given."""
+    pairing is integrated against the normalized Gaussian of ``space`` with
+    weight ``param``, taken from the vector operand when it is not given."""
     f_vec, g_vec = isinstance(f, cls), isinstance(g, cls)
     if f_vec and g_vec:
         return f._pair(g)
@@ -246,7 +237,7 @@ def _inner(cls, f, g, param, integrate) -> Bicomplex:
     if param is None:
         raise DimensionMismatch(f"{cls._param} is required when both operands are callables")
     fe, ge = (v.evaluate if isinstance(v, cls) else v for v in (f, g))
-    return integrate(lambda X: bc_inner(as_bicomplex(fe(X)), as_bicomplex(ge(X))), param)
+    return _gaussian_sum(lambda X: bc_inner(as_bicomplex(fe(X)), as_bicomplex(ge(X))), space, param, order)
 
 
 def inner_L2sigma(
@@ -265,11 +256,7 @@ def inner_L2sigma(
     operand).  Callables must broadcast over node arrays; ``vectorized`` is
     accepted for compatibility only.
     """
-
-    def integrate(h, s):
-        return integrate_real(h, gauss_hermite(order, s)) * normalization_c(0, s)
-
-    return _inner(HermiteCoeffVector, f, g, sigma, integrate)
+    return _inner(HermiteCoeffVector, "line", f, g, sigma, order)
 
 
 def inner_H2nu(
@@ -288,11 +275,7 @@ def inner_H2nu(
     Gaussian with a tensor rule of the given ``order``; ``vectorized`` is
     accepted for compatibility only.
     """
-
-    def integrate(h, n):
-        return integrate_bicomplex(h, n, gauss_hermite(order, n / 2.0)) * normalization_c("BC", n)
-
-    return _inner(MonomialCoeffVector, f, g, nu, integrate)
+    return _inner(MonomialCoeffVector, "ring", f, g, nu, order)
 
 
 def project_P(
@@ -311,9 +294,7 @@ def project_P(
     whose shape the result takes (a scalar gives ``complex`` channels).
     ``vectorized`` is accepted and ignored.
     """
-    xi, w2 = _complex_grid(gauss_hermite(order, nu / 2.0))
-    kernel = functools.partial(kernel_K_BC, nu)
-    return _kernel_sum(f, xi, w2, kernel, as_bicomplex(Z), scale=0.25 * normalization_c("BC", nu), ring=True)
+    return _gaussian_sum(f, "ring", nu, order, functools.partial(kernel_K_BC, nu), as_bicomplex(Z))
 
 
 def idempotent_split_F(f: MonomialCoeffVector) -> tuple[list[complex], list[complex]]:

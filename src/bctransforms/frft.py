@@ -46,7 +46,7 @@ from .bicomplex import (
 from .bargmann import HermiteCoeffVector
 from .errors import DomainError, ExcludedParameterError, _require_positive
 from .hermite import _ladder
-from .quadrature import DEFAULT_ORDER, _kernel_sum, gauss_hermite, normalization_c
+from .quadrature import DEFAULT_ORDER, _gaussian_sum, normalization_c
 
 __all__ = [
     "ThetaParam",
@@ -144,10 +144,11 @@ def _rotation_gaussian(S, theta, x, Y, fold=0):
 
 
 @_fails_closed
-def _folded_kernel(sigma: float, S: Bicomplex, theta: Bicomplex, y, x) -> Bicomplex:
-    """The rotation kernel at output points ``y`` and nodes ``x``, without its
-    prefactor and with the rule's residual exp(+(sigma/2) x**2) folded in."""
-    return _channelwise(_rotation_gaussian)(S, theta, x, y, (0.5 * sigma) * x**2)
+def _folded_kernel(sigma: float, S: Bicomplex, theta: Bicomplex, pref: Bicomplex, y, x) -> Bicomplex:
+    """The rotation kernel at output points ``y`` and nodes ``x`` against the
+    normalized line measure at sigma/2: the prefactor times c_0(sigma) /
+    c_0(sigma/2) = sqrt(2), and the residual exp(+(sigma/2) x**2) folded in."""
+    return (math.sqrt(2.0) * pref) * _channelwise(_rotation_gaussian)(S, theta, x, y, (0.5 * sigma) * x**2)
 
 
 @_fails_closed
@@ -191,9 +192,8 @@ def frft_apply(
     if sigma is None:
         raise TypeError("sigma is required when psi is a callable")
     th, pref, S = _rotation(sigma, theta.theta)
-    rule = gauss_hermite(order, sigma / 2.0)
-    kernel = functools.partial(_folded_kernel, sigma, S, th)
-    return _kernel_sum(psi, rule.nodes, rule.weights, kernel, y, scale=normalization_c(0, sigma) * pref)
+    kernel = functools.partial(_folded_kernel, sigma, S, th, pref)
+    return _gaussian_sum(psi, "line", sigma / 2.0, order, kernel, y)
 
 
 def frft_inverse(

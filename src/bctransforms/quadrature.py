@@ -20,11 +20,11 @@ cached and rescaled exactly, so rules at different gamma share node/weight
 ratios to machine precision.
 
 Every integrator calls its integrand on arrays of nodes, so it must broadcast.
-The kernel integral forms of other modules share their sum: the closed-form
-kernel times the rule weight is a weight that depends on the output point.
-Integrands whose Gaussian decay differs from the rule's weight must fold the
-residual exponential into ``f``; callers in this package always build rules
-with gamma equal to the slowest decay rate actually present.
+The integral forms of other modules integrate against the probability-normalized
+Gaussian of their space through one function, ``_gaussian_sum``, which builds the
+rule, the grid and the constant; a closed-form kernel times the rule weight is a
+weight that depends on the output point.  Integrands whose Gaussian decay
+differs from the rule's weight must fold the residual exponential into ``f``.
 """
 
 from __future__ import annotations
@@ -237,13 +237,13 @@ def _ring_sums(f: Callable, nodes, weights, wa, wb, step: int):
     return a, b
 
 
-def _kernel_sum(f: Callable, nodes, weights, kernel=None, points=None, *, scale=None, ring=False) -> Bicomplex:
-    """scale * sum_k weights_k kernel(p, t_k) f(t_k) at each point p: the one
-    place an integrand is called and a kernel meets the rule weights.
+def _kernel_sum(f: Callable, nodes, weights, kernel=None, points=None, *, ring=False) -> Bicomplex:
+    """sum_k weights_k kernel(p, t_k) f(t_k) at each point p: the one place an
+    integrand is called and a kernel meets the rule weights.
 
     ``f`` is called once on ``nodes``; with ``ring``, on the ring grid over the
-    planar ``nodes`` once per block of points (``scale`` then carries the
-    ring measure's 1/4).  Each channel of ``kernel(P, W)``, a decorated closed
+    planar ``nodes`` once per block of points, each grid point weighted by its
+    two planar weights.  Each channel of ``kernel(P, W)``, a decorated closed
     form at a block P of ``points`` and the nodes W, times the weights is a
     weight that depends on the point; a ring kernel acts channelwise, its
     alpha channel weighting rows and its beta channel columns.  A scalar
@@ -268,9 +268,6 @@ def _kernel_sum(f: Callable, nodes, weights, kernel=None, points=None, *, scale=
         with _quiet():
             totals.append((np.sum(wa * values.alpha, axis=-1), np.sum(wb * values.beta, axis=-1)))
     out = Bicomplex.from_channels(*(np.concatenate(t).reshape(shape) for t in zip(*totals)) if shape else totals[0])
-    if scale is not None:
-        with _quiet():
-            out = scale * out
     _require_finite(out, _NONFINITE_TOTAL)
     return out if shape else Bicomplex.from_channels(complex(out.alpha), complex(out.beta))
 
@@ -318,7 +315,32 @@ def integrate_bicomplex(f: Callable, nu: float, rule: QuadratureRule, *, vectori
     nu = _require_positive("nu", nu)
     if not abs(rule.gamma - nu / 2.0) <= 1e-12 * max(1.0, abs(nu)):
         raise DomainError(f"rule gamma {rule.gamma} does not match nu/2 = {nu / 2.0}")
-    return _kernel_sum(f, *_complex_grid(rule), scale=0.25, ring=True)
+    xi, w2 = _complex_grid(rule)
+    # the ring measure's 1/4 as 1/2 on each side: a power of two scales exactly
+    return _kernel_sum(f, xi, 0.5 * w2, ring=True)
+
+
+def _gaussian_sum(f: Callable, space: str, param: float, order: int, kernel=None, points=None) -> Bicomplex:
+    """The ``order``-point quadrature of kernel(p, .) f against the unit-mass
+    Gaussian of ``space`` at each point p:
+
+        "line"   sqrt(sigma/pi) exp(-sigma x**2) dx,            rule gamma = sigma
+        "plane"  (nu/(2 pi)) exp(-(nu/2) |xi|**2) dlambda(xi),  rule gamma = nu/2
+        "ring"   (nu/pi)**2 exp(-nu |Z|**2) dlambda(Z),         rule gamma = nu/2
+
+    with ``param`` sigma on the line and nu otherwise, refused by that name
+    before a rule is built.  The ring measure is the plane's on each channel,
+    (nu/pi)**2 / 4 = c_1(nu/2)**2, so the ring grid carries the normalized
+    planar weights on both sides.  The sum is :func:`_kernel_sum`.
+    """
+    line = space == "line"
+    param = _require_positive("sigma" if line else "nu", param)
+    gamma = param if line else param / 2.0
+    rule = gauss_hermite(order, gamma)
+    if line:
+        return _kernel_sum(f, rule.nodes, normalization_c(0, gamma) * rule.weights, kernel, points)
+    xi, w2 = _complex_grid(rule)
+    return _kernel_sum(f, xi, normalization_c(1, gamma) * w2, kernel, points, ring=space == "ring")
 
 
 @_fails_closed
@@ -337,4 +359,4 @@ def normalization_c(d, alpha: float) -> float:
         return ratio
     if d == 2 or d == "BC":
         return ratio * ratio
-    raise ValueError(f"unsupported dimension tag {d!r}")
+    raise DomainError(f"unsupported dimension tag {d!r}")

@@ -34,9 +34,9 @@ import numpy as np
 
 from .bicomplex import Bicomplex, _channelwise, _fails_closed, as_bicomplex, conj_star
 from .bargmann import HermiteCoeffVector, MonomialCoeffVector, kernel_K_BC
-from .errors import _require_positive
+from .errors import DomainError, _require_positive
 from .hermite import generating_G
-from .quadrature import DEFAULT_ORDER, _complex_grid, _kernel_sum, gauss_hermite, normalization_c
+from .quadrature import DEFAULT_ORDER, _gaussian_sum, normalization_c
 
 __all__ = [
     "sbt_kernel_C",
@@ -106,11 +106,11 @@ def sbt_forward_integral(
     (a scalar ``Z`` gives ``complex`` channels).  ``vectorized`` is accepted
     for compatibility only.
     """
-    rule, Zs = gauss_hermite(order, sigma), conj_star(as_bicomplex(Z))
+    sigma, nu = _require_positive("sigma", sigma), _require_positive("nu", nu)
 
     def kernel(P, x):
         return generating_G(sigma, nu, x, P)
-    return _kernel_sum(phi, rule.nodes, rule.weights, kernel, Zs, scale=normalization_c(0, sigma))
+    return _gaussian_sum(phi, "line", sigma, order, kernel, conj_star(as_bicomplex(Z)))
 
 
 def sbt_inverse_integral(
@@ -137,19 +137,18 @@ def sbt_inverse_integral(
     channels).
     """
     sigma, nu = _require_positive("sigma", sigma), _require_positive("nu", nu)
-    xi, w2 = _complex_grid(gauss_hermite(order, nu / 2.0))
     if method == "split":
-        # both channels of G are equal on the slice, so one channel is computed
-        def kernel(x, W):
-            return generating_G(sigma, nu, x, Bicomplex.from_channels(W.alpha, 0j)).alpha
+        # f is called on the slice z + j 0, where both channels of G equal the
+        # planar G(x, xi), so one channel is computed
+        def kernel(x, xi):
+            return generating_G(sigma, nu, x, Bicomplex.from_channels(xi, 0j)).alpha
 
-        return _kernel_sum(f, Bicomplex.from_complex(xi), w2, kernel, x, scale=normalization_c(1, nu / 2.0))
+        return _gaussian_sum(lambda xi: f(Bicomplex.from_complex(xi)), "plane", nu, order, kernel, x)
 
     if method == "tensor":
-        kernel = functools.partial(generating_G, sigma, nu)
-        return _kernel_sum(f, xi, w2, kernel, x, scale=0.25 * normalization_c("BC", nu), ring=True)
+        return _gaussian_sum(f, "ring", nu, order, functools.partial(generating_G, sigma, nu), x)
 
-    raise ValueError(f"unknown method {method!r}")
+    raise DomainError(f"unknown method {method!r}")
 
 
 def s_transform(
@@ -170,6 +169,4 @@ def s_transform(
     ``Z`` may be an array value, whose shape the result takes (a scalar gives
     ``complex`` channels).  ``vectorized`` is accepted for compatibility only.
     """
-    xi, w2 = _complex_grid(gauss_hermite(order, nu / 2.0))
-    kernel = functools.partial(kernel_K_BC, nu)
-    return _kernel_sum(F, xi, w2, kernel, as_bicomplex(Z), scale=normalization_c(1, nu / 2.0))
+    return _gaussian_sum(F, "plane", nu, order, functools.partial(kernel_K_BC, nu), as_bicomplex(Z))

@@ -88,6 +88,23 @@ WEIGHT_CALLS = {
     # sigma is checked before theta, so an excluded theta still gives the weight guard's DomainError
     "mehler_closed": lambda v: mehler_closed(v, 1.0, 0.3, -0.2),
     "gaussian_integral_closed": lambda v: gaussian_integral_closed(v, 0.0, 0.0, 0.0, 0.0),
+    # the integral forms refuse their own weight by name before deriving a rule weight from it
+    "project_P.nu": lambda v: project_P(lambda W: W, v, Z1, order=4),
+    "inner_H2nu.nu": lambda v: inner_H2nu(lambda W: W, lambda W: W, v, order=4),
+    "inner_L2sigma.sigma": lambda v: inner_L2sigma(lambda x: x, lambda x: x, v, order=8),
+    "s_transform.nu": lambda v: s_transform(lambda xi: xi, v, Z1, order=8),
+    "sbt_forward_integral.sigma": lambda v: sbt_forward_integral(lambda x: x, v, 2.0, Z1, order=8),
+    "sbt_forward_integral.nu": lambda v: sbt_forward_integral(lambda x: x, 1.0, v, Z1, order=8),
+    "frft_apply.sigma": lambda v: frft_apply(lambda x: x, THETA, 0.3, sigma=v, order=8),
+    "frft_inverse.sigma": lambda v: frft_inverse(lambda x: x, THETA, 0.3, sigma=v, order=8),
+}
+
+#: the parameter each call refuses, where its key does not end in ".<name>"
+WEIGHT_NAMES = {
+    "hermite_sigma": "sigma", "hermite_norm_sq": "sigma", "psi_values": "sigma", "gauss_hermite": "gamma",
+    "normalization_c": "alpha", "integrate_bicomplex": "nu", "HermiteCoeffVector": "sigma",
+    "MonomialCoeffVector": "nu", "monomial_norm_sq": "nu", "sbt_forward": "nu", "kernel_K_C": "gamma",
+    "kernel_K_BC": "nu", "frft_kernel": "sigma", "mehler_closed": "sigma", "gaussian_integral_closed": "gamma",
 }
 
 
@@ -99,7 +116,7 @@ def test_weight_parameter_must_be_positive_and_finite(name, bad):
     with pytest.raises(ValueError) as info:
         WEIGHT_CALLS[name](bad)
     assert type(info.value) is DomainError
-    assert "positive and finite" in str(info.value)
+    assert str(info.value).startswith(f"{WEIGHT_NAMES.get(name, name.rpartition('.')[2])} must be positive and finite")
 
 
 def _outcome(call, v):

@@ -7,8 +7,11 @@ from numpy.testing import assert_allclose
 
 from bctransforms import (
     Bicomplex,
+    ThetaParam,
     as_bicomplex,
     conj_dagger,
+    frft_apply,
+    frft_inverse,
     gauss_hermite,
     inner_H2nu,
     inner_L2sigma,
@@ -18,6 +21,9 @@ from bctransforms import (
     kernel_K_BC,
     normalization_c,
     project_P,
+    s_transform,
+    sbt_forward_integral,
+    sbt_inverse_integral,
 )
 from bctransforms import bargmann, quadrature
 from bctransforms import bicomplex as bc
@@ -457,6 +463,25 @@ def _mp_hermite_pair(n, x):
     return h_prev, h
 
 
+_POINTS = Bicomplex.from_channels(np.array([0.0, 0.3 - 0.2j, -0.5j]), np.array([0.0, 0.1 + 0.4j, 0.6]))
+_REAL_POINTS = np.array([0.0, 0.4, -0.9])
+_THETA = ThetaParam.from_phases(0.9, 2.2)
+
+#: each integral form with sigma = nu = w at a few points, and its tolerance on the constant 1
+_ONE_TO_ONE = {
+    "project_P": (lambda f, w: project_P(f, w, _POINTS), 1e-13),
+    "s_transform": (lambda f, w: s_transform(f, w, _POINTS), 1e-13),
+    "inner_L2sigma": (lambda f, w: inner_L2sigma(f, f, w), 1e-13),
+    "inner_H2nu": (lambda f, w: inner_H2nu(f, f, w), 1e-13),
+    "sbt_forward_integral": (lambda f, w: sbt_forward_integral(f, w, w, _POINTS), 1e-13),
+    "sbt_inverse_integral.split": (lambda f, w: sbt_inverse_integral(f, w, w, _REAL_POINTS), 1e-13),
+    "sbt_inverse_integral.tensor": (
+        lambda f, w: sbt_inverse_integral(f, w, w, _REAL_POINTS, order=24, method="tensor"), 1e-11),
+    "frft_apply": (lambda f, w: frft_apply(f, _THETA, _REAL_POINTS, sigma=w), 1e-13),
+    "frft_inverse": (lambda f, w: frft_inverse(f, _THETA, _REAL_POINTS, sigma=w), 1e-13),
+}
+
+
 class TestNormalization:
     def test_values(self):
         assert_allclose(normalization_c(0, 2.0), math.sqrt(2.0 / math.pi))
@@ -477,6 +502,20 @@ class TestNormalization:
             normalization_c(3, 1.0)
         with pytest.raises(ValueError):
             normalization_c("XY", 1.0)
+
+    @pytest.mark.parametrize("tag", [3, "XY", None])
+    def test_unknown_tag_is_domain_error(self, tag):
+        with pytest.raises(DomainError, match="unsupported dimension tag"):
+            normalization_c(tag, 1.0)
+
+    @pytest.mark.parametrize("w", [0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("form", list(_ONE_TO_ONE))
+    def test_every_form_maps_one_to_one(self, form, w):
+        # each form integrates against a unit-mass Gaussian, and the constant 1
+        # is psi_0 on the line and e_0 on the ring, which every transform keeps
+        call, tol = _ONE_TO_ONE[form]
+        got = call(lambda X: 1.0, w)
+        assert np.max(bc.norm(got - 1.0)) <= tol
 
 
 class TestRuleDataclass:

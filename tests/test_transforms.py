@@ -25,7 +25,7 @@ from bctransforms import (
 )
 
 from bctransforms import verification
-from bctransforms.errors import NonFiniteError
+from bctransforms.errors import DomainError, NonFiniteError
 
 from conftest import assert_bc_close, rand_bc, ring_exp, ring_mul
 
@@ -234,6 +234,10 @@ class TestInverseIntegral:
     def test_bad_method(self):
         with pytest.raises(ValueError):
             sbt_inverse_integral(lambda Z: Z, SIGMA, NU, 0.0, method="nope")
+
+    def test_bad_method_is_domain_error(self):
+        with pytest.raises(DomainError, match="unknown method 'x'"):
+            sbt_inverse_integral(lambda Z: Z, SIGMA, NU, 0.0, method="x")
 
     def test_validation(self):
         with pytest.raises(ValueError):
