@@ -46,7 +46,7 @@ from .bicomplex import (
 from .bargmann import HermiteCoeffVector
 from .errors import DomainError, ExcludedParameterError, _require_positive
 from .hermite import _ladder
-from .quadrature import DEFAULT_ORDER, _gaussian_sum, normalization_c
+from .quadrature import DEFAULT_ORDER, _gaussian_sum, _half_weight, normalization_c
 
 __all__ = [
     "ThetaParam",
@@ -193,7 +193,7 @@ def frft_apply(
         raise TypeError("sigma is required when psi is a callable")
     th, pref, S = _rotation(sigma, theta.theta)
     kernel = functools.partial(_folded_kernel, sigma, S, th, pref)
-    return _gaussian_sum(psi, "line", sigma / 2.0, order, kernel, y)
+    return _gaussian_sum(psi, "line", _half_weight("sigma", sigma), order, kernel, y)
 
 
 def frft_inverse(

@@ -23,7 +23,9 @@ Every integrator calls its integrand on arrays of nodes, so it must broadcast.
 The integral forms of other modules integrate against the probability-normalized
 Gaussian of their space through one function, ``_gaussian_sum``, which builds the
 rule, the grid and the constant; a closed-form kernel times the rule weight is a
-weight that depends on the output point.  Integrands whose Gaussian decay
+weight that depends on the output point.  On the ring the integrand is first
+reduced to its two planar marginals, so a ring sum is a planar sum and ``f`` is
+called per block of grid rows, not per point.  Integrands whose Gaussian decay
 differs from the rule's weight must fold the residual exponential into ``f``.
 """
 
@@ -203,68 +205,54 @@ def _point_blocks(points, step: int):
     return shape, (Bicomplex.from_channels(*b) if len(b) == 2 else b[0] for b in blocks)
 
 
-def _grid_sum(values, r: np.ndarray, c: np.ndarray):
-    """Sum r[..., i] c[j, ...] values[i, j] for ``values`` broadcastable to
-    ``(len(r), len(c))``, as r @ A @ c.  A length-one axis of A takes the sum
-    of its weights, so the outer weight block is never built."""
-    A = np.atleast_2d(values)
-    if A.shape[0] == 1:
-        r = r.sum(axis=-1, keepdims=True)
-    if A.shape[1] == 1:
-        c = c.sum(axis=0, keepdims=True)
-    return r @ A @ c
-
-
-def _ring_sums(f: Callable, nodes, weights, wa, wb, step: int):
-    """The channel sums wa[..., rows] @ f @ w and w[rows] @ f @ wb over the ring
-    grid of the planar ``nodes``, ``f`` called on blocks of whole alpha rows: a
-    channelwise ``f`` (products, powers, ``exp``) returns ``(rows, 1)`` and
-    ``(1, n**2)`` channels, so the rows after the first block go in one call;
-    a mixing ``f`` (``norm``, ``z1``, ``conj_dagger``) gets ``step`` rows."""
-    n2 = len(weights)
+def _ring_marginals(f: Callable, nodes, weights, kernel) -> Bicomplex:
+    """The ring integrand over the planar ``nodes`` t as planar marginals,
+    m_alpha[i] = sum_j w_j f_alpha(t_i, t_j) and m_beta[j] = sum_i w_i f_beta(t_i, t_j):
+    a ring ``kernel`` acts channelwise, so it meets them as on the plane.
+    With no kernel m_beta[i] = sum_j w_j f_beta(t_i, t_j), so that both
+    channels of a scalar ``f`` are summed alike.  ``f`` is called on blocks
+    of whole alpha rows: a channelwise ``f`` (products, powers, ``exp``)
+    returns ``(rows, 1)`` and ``(1, n**2)`` channels, so the rows after the
+    first block go in one call; a mixing ``f`` (``norm``, ``z1``) gets
+    blocks of at most ``_BLOCK_POINTS`` grid points."""
+    n2, step = len(weights), max(1, _BLOCK_POINTS // len(weights))
+    m, total = np.zeros((2, n2), complex), weights.sum(keepdims=True)
     # one row cannot tell a channelwise (1, n**2) beta channel from a full block
-    start, rows, a, b = 0, max(2, step), 0j, 0j
+    start, rows = 0, max(2, step)
     while start < n2:
         block = slice(start, start + rows)
         r = weights[block]
         values = _evaluate(f, Bicomplex.from_channels(nodes[block, None], nodes[None, :]), (len(r), n2))
+        a, b = np.atleast_2d(values.alpha), np.atleast_2d(values.beta)
         with _quiet():
-            a = a + _grid_sum(values.alpha, wa[..., block], weights)
-            b = b + _grid_sum(values.beta, r, wb.T)
+            # a length-one axis takes the sum of its weights, so no outer block is built
+            m[0, block] = np.dot(a, weights if a.shape[1] > 1 else total)
+            if kernel is None:
+                m[1, block] = np.dot(b, weights if b.shape[1] > 1 else total)
+            else:
+                m[1] += np.dot(r if len(b) > 1 else r.sum(keepdims=True), b)
         start += len(r)
         # a block that neither channel fills shows f channelwise: the rest in one call
-        rows = step if max(np.size(values.alpha), np.size(values.beta)) == len(r) * n2 else n2
-    return a, b
+        rows = step if max(a.size, b.size) == len(r) * n2 else n2
+    return Bicomplex.from_channels(m[0], m[1])
 
 
-def _kernel_sum(f: Callable, nodes, weights, kernel=None, points=None, *, ring=False) -> Bicomplex:
-    """sum_k weights_k kernel(p, t_k) f(t_k) at each point p: the one place an
-    integrand is called and a kernel meets the rule weights.
-
-    ``f`` is called once on ``nodes``; with ``ring``, on the ring grid over the
-    planar ``nodes`` once per block of points, each grid point weighted by its
-    two planar weights.  Each channel of ``kernel(P, W)``, a decorated closed
-    form at a block P of ``points`` and the nodes W, times the weights is a
-    weight that depends on the point; a ring kernel acts channelwise, its
-    alpha channel weighting rows and its beta channel columns.  A scalar
-    point (or none) gives ``complex`` channels, an array channels of its
-    shape; a total outside float range raises NonFiniteError.
-    """
-    step = max(1, _BLOCK_POINTS // len(weights))
-    shape, blocks = _point_blocks(points, step)
-    grid = Bicomplex.from_channels(nodes, nodes) if ring else nodes
-    values = None if ring else _evaluate(f, nodes, weights.shape)
+def _kernel_sum(values: Bicomplex, nodes, weights, kernel=None, points=None) -> Bicomplex:
+    """sum_k weights_k kernel(p, t_k) values_k at each point p, the one place a
+    kernel meets the rule weights: each channel of ``kernel(P, nodes)``, a
+    decorated closed form at a block P of ``points``, times the weights is a
+    weight that depends on the point.  A scalar point (or none) gives
+    ``complex`` channels, an array channels of its shape; a total outside
+    float range raises NonFiniteError."""
+    shape, blocks = _point_blocks(points, max(1, _BLOCK_POINTS // len(weights)))
     totals = []
     for P in blocks:
         wa = wb = weights
         if kernel is not None:
-            K = as_bicomplex(kernel(P, grid))
+            K = as_bicomplex(kernel(P, nodes))
             with _quiet():
                 wa = K.alpha * weights
                 wb = wa if K.beta is K.alpha else K.beta * weights
-        if ring:
-            totals.append(_ring_sums(f, nodes, weights, wa, wb, step))
-            continue
         with _quiet():
             totals.append((np.sum(wa * values.alpha, axis=-1), np.sum(wb * values.beta, axis=-1)))
     out = Bicomplex.from_channels(*(np.concatenate(t).reshape(shape) for t in zip(*totals)) if shape else totals[0])
@@ -278,7 +266,7 @@ def integrate_real(f: Callable, rule: QuadratureRule, *, vectorized: bool = True
     ``f``, called once on the node array, must broadcast and may return scalars
     or Bicomplex values; ``vectorized`` is accepted for compatibility only.
     """
-    return _kernel_sum(f, rule.nodes, rule.weights)
+    return _kernel_sum(_evaluate(f, rule.nodes, rule.weights.shape), rule.nodes, rule.weights)
 
 
 def _complex_grid(rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
@@ -294,7 +282,8 @@ def integrate_complex(f: Callable, rule: QuadratureRule, *, vectorized: bool = T
     applied as a tensor product over both real coordinates to one call of ``f``
     on the planar nodes; ``vectorized`` is accepted for compatibility only.
     """
-    return _kernel_sum(f, *_complex_grid(rule))
+    xi, w2 = _complex_grid(rule)
+    return _kernel_sum(_evaluate(f, xi, w2.shape), xi, w2)
 
 
 def integrate_bicomplex(f: Callable, nu: float, rule: QuadratureRule, *, vectorized: bool = True) -> Bicomplex:
@@ -307,17 +296,27 @@ def integrate_bicomplex(f: Callable, nu: float, rule: QuadratureRule, *, vectori
     Each block reaches ``f`` as an outer product: alpha is a ``(rows, 1)``
     column and beta the ``(1, n**2)`` row of all planar nodes, so ``f`` must
     broadcast, and must not index, iterate, reduce or take ``len()`` of the
-    block.  Each channel of a block is summed as w[rows] @ f @ w with the
-    planar weights w: the tensor-grid sum regrouped (see ``_ring_sums``).
-    Every block is checked for non-finite values.  ``vectorized`` is
-    accepted for compatibility only.
+    block.  Each channel of a block is summed along its beta rows with the
+    planar weights w, and these row sums then over alpha: the tensor-grid
+    sum regrouped (see ``_ring_marginals``).  Every block is checked for
+    non-finite values.  ``vectorized`` is accepted for compatibility only.
     """
-    nu = _require_positive("nu", nu)
-    if not abs(rule.gamma - nu / 2.0) <= 1e-12 * max(1.0, abs(nu)):
-        raise DomainError(f"rule gamma {rule.gamma} does not match nu/2 = {nu / 2.0}")
+    half = _half_weight("nu", nu)
+    if not abs(rule.gamma - half) <= 1e-12 * max(1.0, 2.0 * half):
+        raise DomainError(f"rule gamma {rule.gamma} does not match nu/2 = {half}")
     xi, w2 = _complex_grid(rule)
     # the ring measure's 1/4 as 1/2 on each side: a power of two scales exactly
-    return _kernel_sum(f, xi, 0.5 * w2, ring=True)
+    w = 0.5 * w2
+    return _kernel_sum(_ring_marginals(f, xi, w, None), xi, w)
+
+
+def _half_weight(name: str, value) -> float:
+    """Half the weight ``value``, refused by ``name`` unless it is positive
+    and finite and its half is above 0 (the half of 5e-324 rounds to 0)."""
+    half = _require_positive(name, value) / 2.0
+    if half == 0.0:
+        raise DomainError(f"{name} must be at least 1e-323, so that {name}/2 is positive, got {value!r}")
+    return half
 
 
 def _gaussian_sum(f: Callable, space: str, param: float, order: int, kernel=None, points=None) -> Bicomplex:
@@ -330,17 +329,17 @@ def _gaussian_sum(f: Callable, space: str, param: float, order: int, kernel=None
 
     with ``param`` sigma on the line and nu otherwise, refused by that name
     before a rule is built.  The ring measure is the plane's on each channel,
-    (nu/pi)**2 / 4 = c_1(nu/2)**2, so the ring grid carries the normalized
-    planar weights on both sides.  The sum is :func:`_kernel_sum`.
+    (nu/pi)**2 / 4 = c_1(nu/2)**2, and a ring kernel acts channelwise, so
+    the ring is the plane with ``f`` reduced to its planar marginals.  The
+    sum is :func:`_kernel_sum`.
     """
     line = space == "line"
-    param = _require_positive("sigma" if line else "nu", param)
-    gamma = param if line else param / 2.0
+    gamma = _require_positive("sigma", param) if line else _half_weight("nu", param)
     rule = gauss_hermite(order, gamma)
-    if line:
-        return _kernel_sum(f, rule.nodes, normalization_c(0, gamma) * rule.weights, kernel, points)
-    xi, w2 = _complex_grid(rule)
-    return _kernel_sum(f, xi, normalization_c(1, gamma) * w2, kernel, points, ring=space == "ring")
+    nodes, w = (rule.nodes, rule.weights) if line else _complex_grid(rule)
+    weights = normalization_c(0 if line else 1, gamma) * w
+    values = _ring_marginals(f, nodes, weights, kernel) if space == "ring" else _evaluate(f, nodes, weights.shape)
+    return _kernel_sum(values, nodes, weights, kernel, points)
 
 
 @_fails_closed

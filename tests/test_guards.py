@@ -107,6 +107,12 @@ WEIGHT_NAMES = {
     "kernel_K_BC": "nu", "frft_kernel": "sigma", "mehler_closed": "sigma", "gaussian_integral_closed": "gamma",
 }
 
+#: the calls whose quadrature rule weight is half their weight parameter
+HALF_WEIGHT_CALLS = [
+    "integrate_bicomplex", "project_P.nu", "inner_H2nu.nu", "s_transform.nu", "sbt_inverse_integral.nu",
+    "frft_apply.sigma", "frft_inverse.sigma",
+]
+
 
 @pytest.mark.parametrize(
     "bad", [math.inf, math.nan, pytest.param(10**400, id="int-beyond-float"), pytest.param("2", id="str"), 1 + 0j]
@@ -117,6 +123,17 @@ def test_weight_parameter_must_be_positive_and_finite(name, bad):
         WEIGHT_CALLS[name](bad)
     assert type(info.value) is DomainError
     assert str(info.value).startswith(f"{WEIGHT_NAMES.get(name, name.rpartition('.')[2])} must be positive and finite")
+
+
+@pytest.mark.parametrize("name", HALF_WEIGHT_CALLS)
+def test_weight_whose_half_rounds_to_zero_is_refused_by_name(name):
+    # 5e-324 is positive, but its half is 0: the refusal names the parameter
+    # and the value passed, not the rule weight derived from it
+    with pytest.raises(DomainError) as info:
+        WEIGHT_CALLS[name](5e-324)
+    message = str(info.value)
+    assert message.startswith(f"{WEIGHT_NAMES.get(name, name.rpartition('.')[2])} must be at least 1e-323")
+    assert message.endswith("got 5e-324")
 
 
 def _outcome(call, v):

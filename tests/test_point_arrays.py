@@ -78,16 +78,20 @@ def test_point_contract(name):
         for index in np.ndindex(shape):
             want = form(f, _point(P, index))
             assert bc_norm(got[index] - want) <= 1e-14 * bc_norm(want)
-    # on the line and the plane the integrand is called once, however many points
-    if grid != "ring":
-        calls = []
+    # the integrand is called as often for 300 points as for one: once on the
+    # line and the plane, once per block of grid rows on the ring
+    calls = []
 
-        def spy(t):
-            calls.append(t)
-            return f(t)
+    def spy(t):
+        calls.append(t)
+        return f(t)
 
-        form(spy, draw((300,)))
-        assert len(calls) == 1
+    form(spy, _point(draw((1,)), 0))
+    one = len(calls)
+    calls.clear()
+    form(spy, draw((300,)))
+    assert len(calls) == one
+    assert one == 1 or grid == "ring"
 
 
 def test_many_points_stay_in_blocks():
@@ -96,6 +100,20 @@ def test_many_points_stay_in_blocks():
     tracemalloc.start()
     try:
         got = s_transform(lambda xi: xi * xi, 2.0, Z, order=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+    assert np.max(bc_norm(got - Z * Z)) <= 1e-13
+
+
+def test_many_ring_points_stay_in_blocks():
+    # 4000 points against 576 planar nodes: the kernel weights are built per
+    # block of points, and the integrand reduced to planar marginals once
+    Z = _ring_points((4000,))
+    tracemalloc.start()
+    try:
+        got = project_P(lambda W: W * W, 2.0, Z)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -425,6 +425,29 @@ class TestBlockedRingGrid:
             exact = complex(math.fsum(terms.real), math.fsum(terms.imag))
             assert abs(4 * complex(total) - exact) <= 2.0**-50 * math.fsum(np.abs(terms))
 
+    @pytest.mark.parametrize("order", [7, 12])
+    @pytest.mark.parametrize("f", [_channelwise, _mixed], ids=["kernel-times-power", "mixed"])
+    def test_near_exact_kernel_weighted_sum(self, order, f):
+        # project_P weights the ring grid by its kernel at each point, the alpha
+        # channel by the alpha node and the beta channel by the beta node; its
+        # planar marginals may differ from the exactly rounded sum of w K f over
+        # the materialized grid only by rounding, within 2**-50 of the sum of
+        # |w K f| in each channel (nu = 2: the rule at gamma 1, constant 1/pi**2)
+        rule = gauss_hermite(order, 1.0)
+        xi = (rule.nodes[:, None] + 1j * rule.nodes[None, :]).ravel()
+        w2 = (rule.weights[:, None] * rule.weights[None, :]).ravel() / math.pi
+        W = Bicomplex.from_channels(np.repeat(xi, len(xi)), np.tile(xi, len(xi)))
+        values = as_bicomplex(f(W))
+        w = np.outer(w2, w2).ravel()
+        Z = Bicomplex(np.array([0.3 + 0.2j, -0.5j, 0.1 - 0.4j]), np.array([-0.1 + 0.4j, 0.6, 0.2 + 0.3j]))
+        got = project_P(f, 2.0, Z, order=order)
+        for k in range(3):
+            K = kernel_K_BC(2.0, Z[k], W)
+            for channel, total in ((K.alpha * values.alpha, got.alpha[k]), (K.beta * values.beta, got.beta[k])):
+                terms = w * channel
+                exact = complex(math.fsum(terms.real), math.fsum(terms.imag))
+                assert abs(complex(total) - exact) <= 2.0**-50 * math.fsum(np.abs(terms))
+
     def test_channelwise_exp_runs_once_per_node(self, monkeypatch):
         seen = []
 
