@@ -20,7 +20,6 @@ scalar ``norm_sq`` is the mean of the two channel norms.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -195,10 +194,16 @@ class MonomialCoeffVector(_CoeffVector):
     evaluate = eval_monomial_series
 
 
+def _reproducing_exponent(gamma):
+    """K(z, w) = exp(a conj(w)**2 + b(z) conj(w)): a = 0, b(z) = gamma z."""
+    return 0.0, lambda z: gamma * z
+
+
 def _planar_kernel(gamma, z, w):
-    """The planar reproducing kernel exp(gamma z conj(w)), on complex values."""
-    w_bar = np.conjugate(w)
-    return np.exp(gamma * (z * w_bar))
+    """The planar reproducing kernel exp(gamma z conj(w)) = exp(b(z) conj(w)), on
+    complex values (a = 0)."""
+    _, b = _reproducing_exponent(gamma)
+    return np.exp(b(z) * np.conjugate(w))
 
 
 @_fails_closed
@@ -294,7 +299,8 @@ def project_P(
     whose shape the result takes (a scalar gives ``complex`` channels).
     ``vectorized`` is accepted and ignored.
     """
-    return _gaussian_sum(f, "ring", nu, order, functools.partial(kernel_K_BC, nu), as_bicomplex(Z))
+    nu = _require_positive("nu", nu)
+    return _gaussian_sum(f, "ring", nu, order, _reproducing_exponent(0.5 * nu), as_bicomplex(Z))
 
 
 def idempotent_split_F(f: MonomialCoeffVector) -> tuple[list[complex], list[complex]]:

@@ -142,10 +142,15 @@ def psi_values(n_max: int, sigma: float, x) -> list:
     return values
 
 
+def _generating_exponent(sigma, nu):
+    """G(x, z) = exp(a w**2 + b(x) w) at w = conj(z): a = -nu/4, b(x) = sqrt(sigma nu) x."""
+    return -0.25 * nu, lambda x: math.sqrt(sigma * nu) * x
+
+
 def _generating(sigma, nu, x, z):
     """exp(-(nu/4) conj(z)**2 + sqrt(sigma nu) x conj(z)), on complex values."""
-    zs = np.conjugate(z)
-    return np.exp((-0.25 * nu) * (zs * zs) + (math.sqrt(sigma * nu) * x) * zs)
+    (a, b), zs = _generating_exponent(sigma, nu), np.conjugate(z)
+    return np.exp(a * (zs * zs) + b(x) * zs)
 
 
 @_fails_closed

@@ -22,8 +22,10 @@ ratios to machine precision.
 Every integrator calls its integrand on arrays of nodes, so it must broadcast.
 The integral forms of other modules integrate against the probability-normalized
 Gaussian of their space through one function, ``_gaussian_sum``, which builds the
-rule, the grid and the constant; a closed-form kernel times the rule weight is a
-weight that depends on the output point.  On the ring the integrand is first
+rule, the grid and the constant.  A line kernel times the rule weight is a weight
+that depends on the output point; a planar kernel
+exp(a conj(xi)**2 + b(p) conj(xi)) comes as its coefficients and is summed in
+factored form, 2n exponentials per point, not n**2.  The ring integrand is first
 reduced to its two planar marginals, so a ring sum is a planar sum and ``f`` is
 called per block of grid rows, not per point.  Integrands whose Gaussian decay
 differs from the rule's weight must fold the residual exponential into ``f``.
@@ -39,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .bicomplex import Bicomplex, _fails_closed, _require_finite, as_bicomplex
-from .errors import BCTransformsError, ConvergenceError, DomainError, _require_int, _require_positive
+from .errors import BCTransformsError, ConvergenceError, DomainError, NonFiniteError, _require_int, _require_positive
 from .hermite import _ladder, _ladder_ratio
 
 __all__ = [
@@ -192,19 +194,6 @@ def _evaluate(f: Callable, X, shape: tuple) -> Bicomplex:
         raise DomainError("the integrand must broadcast over an array of nodes") from err
 
 
-def _point_blocks(points, step: int):
-    """The shape of ``points`` (() for a scalar or None) and the points: a
-    scalar whole, an array in columns of ``step`` points."""
-    channels = (points.alpha, points.beta) if isinstance(points, Bicomplex) else (points,)
-    shape = () if points is None else np.broadcast(*channels).shape
-    if not shape:
-        return shape, [points]
-    cols = [np.broadcast_to(ch, shape).reshape(-1, 1) for ch in channels]
-    # no points at all make one empty block, so that the result has their shape
-    blocks = ([c[i : i + step] for c in cols] for i in range(0, max(1, len(cols[0])), step))
-    return shape, (Bicomplex.from_channels(*b) if len(b) == 2 else b[0] for b in blocks)
-
-
 def _ring_marginals(f: Callable, nodes, weights, kernel) -> Bicomplex:
     """The ring integrand over the planar ``nodes`` t as planar marginals,
     m_alpha[i] = sum_j w_j f_alpha(t_i, t_j) and m_beta[j] = sum_i w_i f_beta(t_i, t_j):
@@ -237,27 +226,65 @@ def _ring_marginals(f: Callable, nodes, weights, kernel) -> Bicomplex:
     return Bicomplex.from_channels(m[0], m[1])
 
 
-def _kernel_sum(values: Bicomplex, nodes, weights, kernel=None, points=None) -> Bicomplex:
-    """sum_k weights_k kernel(p, t_k) values_k at each point p, the one place a
-    kernel meets the rule weights: each channel of ``kernel(P, nodes)``, a
-    decorated closed form at a block P of ``points``, times the weights is a
-    weight that depends on the point.  A scalar point (or none) gives
-    ``complex`` channels, an array channels of its shape; a total outside
-    float range raises NonFiniteError."""
-    shape, blocks = _point_blocks(points, max(1, _BLOCK_POINTS // len(weights)))
-    totals = []
-    for P in blocks:
-        wa = wb = weights
-        if kernel is not None:
-            K = as_bicomplex(kernel(P, nodes))
-            with _quiet():
-                wa = K.alpha * weights
-                wb = wa if K.beta is K.alpha else K.beta * weights
-        with _quiet():
-            totals.append((np.sum(wa * values.alpha, axis=-1), np.sum(wb * values.beta, axis=-1)))
+def _point_sum(block_sum: Callable, points, step: int) -> Bicomplex:
+    """The channel totals ``block_sum(P)``, silenced: for a scalar point (or none) whole, as
+    ``complex`` channels, and for an array in blocks P of ``step`` columns, as channels of its
+    shape.  A total outside float range raises NonFiniteError."""
+    channels = (points.alpha, points.beta) if isinstance(points, Bicomplex) else (points,)
+    shape = () if points is None else np.broadcast(*channels).shape
+    blocks = [points]
+    if shape:
+        cols = [np.broadcast_to(ch, shape).reshape(-1, 1) for ch in channels]
+        # no points at all make one empty block, so that the result has their shape
+        blocks = ([c[i : i + step] for c in cols] for i in range(0, max(1, len(cols[0])), step))
+        blocks = (Bicomplex.from_channels(*b) if len(b) == 2 else b[0] for b in blocks)
+    with _quiet():
+        try:
+            totals = [block_sum(P) for P in blocks]
+        except OverflowError:  # a Python int point beyond float range
+            raise NonFiniteError(_NONFINITE_TOTAL) from None
     out = Bicomplex.from_channels(*(np.concatenate(t).reshape(shape) for t in zip(*totals)) if shape else totals[0])
     _require_finite(out, _NONFINITE_TOTAL)
     return out if shape else Bicomplex.from_channels(complex(out.alpha), complex(out.beta))
+
+
+def _kernel_sum(values: Bicomplex, nodes, weights, kernel=None, points=None) -> Bicomplex:
+    """sum_k weights_k kernel(p, t_k) values_k at each point p, for the integrators (no kernel)
+    and the line forms: each channel of ``kernel(P, nodes)``, a decorated closed form at a
+    block P of ``points``, times the weights is a weight that depends on the point."""
+
+    def block_sum(P):
+        wa = wb = weights
+        if kernel is not None:
+            K = kernel(P, nodes)
+            wa, wb = K.alpha * weights, K.beta * weights
+        return np.sum(wa * values.alpha, axis=-1), np.sum(wb * values.beta, axis=-1)
+
+    return _point_sum(block_sum, points, max(1, _BLOCK_POINTS // len(weights)))
+
+
+def _factored_sum(values: Bicomplex, t, weights, kernel, points) -> Bicomplex:
+    """The kernel sum on the grid xi = u + iv (u, v in the nodes ``t``) for the kernel
+    exp(a conj(xi)**2 + b(p) conj(xi)), ``kernel`` = (a, b), each channel of b on that channel of
+    ``values``.  As exp(b conj(xi)) = exp(b u) exp(-i b v), weights exp(a conj(xi)**2) values is
+    folded once into an n x n matrix F per channel, and a point's total is the row sum of
+    (E_u @ F) * E_v (sum factorization): 2n exponentials and n**2 + n multiply-adds per point and
+    channel, not n**2 exponentials.  Channels with one b share E_u = exp(b u), E_v = exp(-i b v)."""
+    (a, b), n = kernel, len(t)
+    with _quiet():
+        if a != 0:  # exp(a conj(xi)**2) for u <= 0; the nodes are symmetric and -u conjugates it
+            half = np.exp(a * (t[: (n + 1) // 2, None] - 1j * t) ** 2)
+            weights = weights * np.concatenate((half, half[: n // 2][::-1].conj())).ravel()
+        F = [(weights * ch).reshape(n, n) for ch in (values.alpha, values.beta)]
+
+    def block_sum(P):
+        B = b(P)
+        ca, cb = (B.alpha, B.beta) if isinstance(B, Bicomplex) else (B, B)
+        ea = np.exp(ca * t), np.exp(-1j * ca * t)
+        eb = ea if cb is ca else (np.exp(cb * t), np.exp(-1j * cb * t))
+        return tuple(np.sum((eu @ f) * ev, axis=-1) for (eu, ev), f in zip((ea, eb), F))
+
+    return _point_sum(block_sum, points, max(1, _BLOCK_POINTS // n))
 
 
 def integrate_real(f: Callable, rule: QuadratureRule, *, vectorized: bool = True) -> Bicomplex:
@@ -329,9 +356,10 @@ def _gaussian_sum(f: Callable, space: str, param: float, order: int, kernel=None
 
     with ``param`` sigma on the line and nu otherwise, refused by that name
     before a rule is built.  The ring measure is the plane's on each channel,
-    (nu/pi)**2 / 4 = c_1(nu/2)**2, and a ring kernel acts channelwise, so
-    the ring is the plane with ``f`` reduced to its planar marginals.  The
-    sum is :func:`_kernel_sum`.
+    (nu/pi)**2 / 4 = c_1(nu/2)**2, and a ring kernel acts channelwise, so the
+    ring is the plane with ``f`` reduced to its planar marginals.  A line
+    ``kernel(P, nodes)`` goes to :func:`_kernel_sum`, a planar (a, b) to
+    :func:`_factored_sum`.
     """
     line = space == "line"
     gamma = _require_positive("sigma", param) if line else _half_weight("nu", param)
@@ -339,7 +367,9 @@ def _gaussian_sum(f: Callable, space: str, param: float, order: int, kernel=None
     nodes, w = (rule.nodes, rule.weights) if line else _complex_grid(rule)
     weights = normalization_c(0 if line else 1, gamma) * w
     values = _ring_marginals(f, nodes, weights, kernel) if space == "ring" else _evaluate(f, nodes, weights.shape)
-    return _kernel_sum(values, nodes, weights, kernel, points)
+    if line or kernel is None:
+        return _kernel_sum(values, nodes, weights, kernel, points)
+    return _factored_sum(values, rule.nodes, weights, kernel, points)
 
 
 @_fails_closed

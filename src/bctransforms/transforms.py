@@ -13,8 +13,9 @@ as independent oracles:
 Both integral forms integrate the closed-form kernels they are defined by:
 the rule's Gaussian weight is the kernel's own Gaussian factor, and the rest
 of the kernel is ``generating_G`` (G(x, Z*) forward, G(x, Z) inverse); the
-slice transform integrates ``kernel_K_BC``.  A kernel outside float range
-therefore raises through the kernel's own check.  The inverse integral
+slice transform integrates ``kernel_K_BC``.  These planar kernels reach the
+sum as the exponent coefficients their closed forms are evaluated from, so a
+total outside float range raises in the sum.  The inverse integral
 factorizes over the idempotent channels for holomorphic ``f`` (the only
 inputs for which the inversion theorem speaks), which is what the default
 "split" method computes; "tensor" runs the literal four-real-dimensional
@@ -26,16 +27,15 @@ the ring from its values on the complex slice ``z + j 0``.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable
 
 import numpy as np
 
 from .bicomplex import Bicomplex, _channelwise, _fails_closed, as_bicomplex, conj_star
-from .bargmann import HermiteCoeffVector, MonomialCoeffVector, kernel_K_BC
+from .bargmann import HermiteCoeffVector, MonomialCoeffVector, _reproducing_exponent
 from .errors import DomainError, _require_positive
-from .hermite import generating_G
+from .hermite import _generating_exponent, generating_G
 from .quadrature import DEFAULT_ORDER, _gaussian_sum, normalization_c
 
 __all__ = [
@@ -137,16 +137,12 @@ def sbt_inverse_integral(
     channels).
     """
     sigma, nu = _require_positive("sigma", sigma), _require_positive("nu", nu)
+    kernel = _generating_exponent(sigma, nu)
     if method == "split":
-        # f is called on the slice z + j 0, where both channels of G equal the
-        # planar G(x, xi), so one channel is computed
-        def kernel(x, xi):
-            return generating_G(sigma, nu, x, Bicomplex.from_channels(xi, 0j)).alpha
-
         return _gaussian_sum(lambda xi: f(Bicomplex.from_complex(xi)), "plane", nu, order, kernel, x)
 
     if method == "tensor":
-        return _gaussian_sum(f, "ring", nu, order, functools.partial(generating_G, sigma, nu), x)
+        return _gaussian_sum(f, "ring", nu, order, kernel, x)
 
     raise DomainError(f"unknown method {method!r}")
 
@@ -169,4 +165,5 @@ def s_transform(
     ``Z`` may be an array value, whose shape the result takes (a scalar gives
     ``complex`` channels).  ``vectorized`` is accepted for compatibility only.
     """
-    return _gaussian_sum(F, "plane", nu, order, functools.partial(kernel_K_BC, nu), as_bicomplex(Z))
+    nu = _require_positive("nu", nu)
+    return _gaussian_sum(F, "plane", nu, order, _reproducing_exponent(0.5 * nu), as_bicomplex(Z))

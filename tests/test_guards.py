@@ -195,6 +195,7 @@ INT_BEYOND_FLOAT = {
     "hermite_norm_sq": lambda: hermite_norm_sq(3, BEYOND_FLOAT),
     "HermiteCoeffVector": lambda: HermiteCoeffVector(BEYOND_FLOAT, [1.0]),
     "ThetaParam.from_phases": lambda: ThetaParam.from_phases(BEYOND_FLOAT, 0),
+    "sbt_inverse_integral.x": lambda: sbt_inverse_integral(lambda Z: Z, 1.0, 2.0, BEYOND_FLOAT, order=8),
 }
 
 
@@ -237,8 +238,10 @@ def test_closed_form_kernel_fails_closed(name):
         OVERFLOWING_KERNELS[name]()
 
 
-# each integral form's kernel leaves float range on the rule's nodes; the error
-# comes from the closed-form kernel the integrand is built from
+# each integral form's kernel leaves float range on the rule's nodes; on the line
+# the error comes from the closed-form kernel, on the plane and the ring from the
+# factored sum, whose exponential factor exp(b u) overflows, through its check
+# on the totals
 OVERFLOWING_INTEGRALS = {
     "s_transform": lambda: s_transform(lambda xi: xi, 2.0, Bicomplex(400.0, 0j)),
     "sbt_forward_integral": lambda: sbt_forward_integral(lambda x: 1.0, 1.0, 2.0, Bicomplex(60j, 0j)),

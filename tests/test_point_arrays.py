@@ -94,6 +94,22 @@ def test_point_contract(name):
     assert one == 1 or grid == "ring"
 
 
+def test_planar_kernel_takes_2n_exponentials_per_point(monkeypatch):
+    # exp(b conj(xi)) = exp(b u) exp(-i b v) on the tensor grid: 2 * 64 nodes
+    # per point and channel at order 64, not one exponential per planar node (4096)
+    Z = _ring_points((300,))
+    s_transform(lambda xi: xi * xi, 2.0, Z[0], order=64)  # builds the rule first
+    sizes, exp = [], np.exp
+
+    def spy(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", spy)
+    s_transform(lambda xi: xi * xi, 2.0, Z, order=64)
+    assert sum(sizes) == 300 * 2 * (2 * 64)
+
+
 def test_many_points_stay_in_blocks():
     # 4000 points times 4096 planar nodes would hold 262 MB per complex temporary
     Z = _ring_points((4000,))

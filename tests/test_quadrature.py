@@ -13,6 +13,7 @@ from bctransforms import (
     frft_apply,
     frft_inverse,
     gauss_hermite,
+    generating_G,
     inner_H2nu,
     inner_L2sigma,
     integrate_bicomplex,
@@ -273,6 +274,41 @@ def _mixed(Z):
     return Bicomplex.from_channels(a * (1 + b) + Z.alpha, b * (1 + 2 * a))
 
 
+_SIGMA = 1.3
+_RING_POINTS = Bicomplex(np.array([0.3 + 0.2j, -0.5j, 0.1 - 0.4j]), np.array([-0.1 + 0.4j, 0.6, 0.2 + 0.3j]))
+
+
+def _with_point(alpha, beta):
+    """``_RING_POINTS`` and one more point of channels ``alpha``, ``beta``."""
+    return Bicomplex.from_channels(np.append(_RING_POINTS.alpha, alpha), np.append(_RING_POINTS.beta, beta))
+
+
+#: each planar kernel form at nu = 2: call(f, points, order), whether it sums
+#: the ring, its kernel at one point on the materialized grid W, whether that
+#: kernel has a quadratic term (a != 0), and its points given the |b| at which
+#: |b| times the largest node is 300
+_KERNEL_FORMS = {
+    "project_P": (
+        lambda f, Z, order: project_P(f, 2.0, Z, order=order), True,
+        lambda Z, W: kernel_K_BC(2.0, Z, W), False, lambda big: _with_point(big, 0.3),
+    ),
+    "s_transform": (
+        lambda f, Z, order: s_transform(lambda xi: f(Bicomplex.from_complex(xi)), 2.0, Z, order=order), False,
+        lambda Z, W: kernel_K_BC(2.0, Z, W), False, lambda big: _with_point(0.2 - 0.1j, big * 1j),
+    ),
+    "sbt_inverse_integral.split": (
+        lambda f, x, order: sbt_inverse_integral(f, _SIGMA, 2.0, x, order=order), False,
+        lambda x, W: generating_G(_SIGMA, 2.0, x, W), True,
+        lambda big: np.array([0.4, -0.9, 1.5, -big / math.sqrt(2 * _SIGMA)]),
+    ),
+    "sbt_inverse_integral.tensor": (
+        lambda f, x, order: sbt_inverse_integral(f, _SIGMA, 2.0, x, order=order, method="tensor"), True,
+        lambda x, W: generating_G(_SIGMA, 2.0, x, W), True,
+        lambda big: np.array([0.4, -0.9, 1.5, big / math.sqrt(2 * _SIGMA)]),
+    ),
+}
+
+
 def _assert_channels_close(got, want, rtol, atol=0.0):
     assert_allclose(complex(got.alpha), complex(want.alpha), rtol=rtol, atol=atol)
     assert_allclose(complex(got.beta), complex(want.beta), rtol=rtol, atol=atol)
@@ -426,27 +462,48 @@ class TestBlockedRingGrid:
             assert abs(4 * complex(total) - exact) <= 2.0**-50 * math.fsum(np.abs(terms))
 
     @pytest.mark.parametrize("order", [7, 12])
-    @pytest.mark.parametrize("f", [_channelwise, _mixed], ids=["kernel-times-power", "mixed"])
-    def test_near_exact_kernel_weighted_sum(self, order, f):
-        # project_P weights the ring grid by its kernel at each point, the alpha
-        # channel by the alpha node and the beta channel by the beta node; its
-        # planar marginals may differ from the exactly rounded sum of w K f over
-        # the materialized grid only by rounding, within 2**-50 of the sum of
-        # |w K f| in each channel (nu = 2: the rule at gamma 1, constant 1/pi**2)
+    @pytest.mark.parametrize(
+        "form, f",
+        [(form, f) for form in _KERNEL_FORMS for f in (_channelwise, _mixed)],
+        ids=[
+            ("" if form == "project_P" else f"{form}-") + name
+            for form in _KERNEL_FORMS for name in ("kernel-times-power", "mixed")
+        ],
+    )
+    def test_near_exact_kernel_weighted_sum(self, order, form, f):
+        # each kernel form weights its grid by its kernel at each point: on the
+        # ring the alpha channel by the alpha node and the beta channel by the
+        # beta node, on the plane both channels by the one node.  Its factored
+        # sum may differ from the exactly rounded sum of w K f over the
+        # materialized grid only by rounding, within 2**-50 of the sum of
+        # |w K f| in each channel (nu = 2: the rule at gamma 1, constant 1/pi
+        # per plane).  The last point puts |b| times the largest node at 300,
+        # so that the factors exp(b u) span e**-300 to e**300.  There a kernel
+        # with a quadratic term, exp(E) with E = a conj(xi)**2 + b conj(xi), is
+        # known from its closed form only to |E| 2**-53: the closed form
+        # rounds the sum E, the factored sum its two parts, and exp turns
+        # either rounding into that relative error.  So at that point the bound
+        # takes 2**-53 |w K f| |log |K|| more per term where a != 0.
+        call, ring, kernel, quadratic, points = _KERNEL_FORMS[form]
         rule = gauss_hermite(order, 1.0)
         xi = (rule.nodes[:, None] + 1j * rule.nodes[None, :]).ravel()
         w2 = (rule.weights[:, None] * rule.weights[None, :]).ravel() / math.pi
-        W = Bicomplex.from_channels(np.repeat(xi, len(xi)), np.tile(xi, len(xi)))
+        if ring:
+            W = Bicomplex.from_channels(np.repeat(xi, len(xi)), np.tile(xi, len(xi)))
+            w = np.outer(w2, w2).ravel()
+        else:
+            W, w = Bicomplex.from_complex(xi), w2
         values = as_bicomplex(f(W))
-        w = np.outer(w2, w2).ravel()
-        Z = Bicomplex(np.array([0.3 + 0.2j, -0.5j, 0.1 - 0.4j]), np.array([-0.1 + 0.4j, 0.6, 0.2 + 0.3j]))
-        got = project_P(f, 2.0, Z, order=order)
-        for k in range(3):
-            K = kernel_K_BC(2.0, Z[k], W)
-            for channel, total in ((K.alpha * values.alpha, got.alpha[k]), (K.beta * values.beta, got.beta[k])):
-                terms = w * channel
+        P = points(300.0 / rule.nodes[-1])
+        got = call(f, P, order)
+        for k in range(len(got.alpha)):
+            K = kernel(P[k], W)
+            for k_ch, f_ch, total in ((K.alpha, values.alpha, got.alpha[k]), (K.beta, values.beta, got.beta[k])):
+                terms = w * (k_ch * f_ch)
                 exact = complex(math.fsum(terms.real), math.fsum(terms.imag))
-                assert abs(complex(total) - exact) <= 2.0**-50 * math.fsum(np.abs(terms))
+                last = quadratic and k == len(got.alpha) - 1
+                rounding = math.fsum(np.abs(terms) * np.abs(np.log(np.abs(k_ch)))) if last else 0.0
+                assert abs(complex(total) - exact) <= 2.0**-50 * math.fsum(np.abs(terms)) + 2.0**-53 * rounding
 
     def test_channelwise_exp_runs_once_per_node(self, monkeypatch):
         seen = []
