@@ -35,7 +35,7 @@ from .bicomplex import (
     norm as bc_norm,
 )
 from .errors import DimensionMismatch, _require_positive
-from .hermite import _ratios, _scale, _weight, psi_values
+from .hermite import _degree, _expansion, _ratios, _scale, _weight
 from .quadrature import DEFAULT_BC_ORDER, DEFAULT_ORDER, _gaussian_sum
 
 __all__ = [
@@ -89,7 +89,7 @@ class _CoeffVector:
     @classmethod
     def basis(cls, n: int, param: float):
         """The vector with coefficient 1 in slot ``n`` for weight parameter ``param``."""
-        unit = np.zeros(n + 1, dtype=complex)
+        unit = np.zeros(_degree(n) + 1, dtype=complex)
         unit[n] = 1.0
         return cls(param, Bicomplex.from_channels(unit, unit.copy()))
 
@@ -139,11 +139,9 @@ class HermiteCoeffVector(_CoeffVector):
 
     @_fails_closed
     def evaluate(self, x):
-        """Value of the expansion at real ``x`` (scalar or ndarray); a value
-        outside float range raises NonFiniteError."""
-        vals = np.array(psi_values(self.degree, self.sigma, x))
-        a, b = (np.einsum("n,n...->...", ch, vals) for ch in (self._unit.alpha, self._unit.beta))
-        return Bicomplex.from_channels(a, b)
+        """Value sum_n c_n psi_n(x) of the expansion at ``x`` (a scalar, an ndarray or a
+        Bicomplex); a value outside float range raises NonFiniteError."""
+        return _channelwise(_expansion)(self._unit, self.sigma, x)
 
 
 @_fails_closed
@@ -224,9 +222,7 @@ def kernel_K_BC(nu: float, Z: Bicomplex, W: Bicomplex) -> Bicomplex:
 def monomial_norm_sq(n: int, nu: float) -> float:
     """Squared norm 2**n n! / nu**n of the monomial Z**n; a value outside
     float range raises NonFiniteError."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    nu = _require_positive("nu", nu)
+    n, nu = _degree(n), _require_positive("nu", nu)
     return _weight(n, 2.0 / nu)
 
 

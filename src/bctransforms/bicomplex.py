@@ -38,7 +38,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import BranchCutError, NonFiniteError, NullConeError
+from .errors import BranchCutError, DomainError, NonFiniteError, NullConeError
 
 __all__ = [
     "Bicomplex",
@@ -347,16 +347,18 @@ class IdempotentPair:
 
 
 def as_bicomplex(value) -> Bicomplex:
-    """Coerce a scalar, complex ndarray or Bicomplex to Bicomplex."""
+    """Coerce a scalar, ndarray, list or tuple of numbers, or Bicomplex to Bicomplex."""
     if isinstance(value, Bicomplex):
         return value
-    if isinstance(value, np.ndarray):
-        return Bicomplex.from_complex(value.astype(complex, copy=False))
-    if isinstance(value, Number):
-        try:
+    try:
+        if isinstance(value, (np.ndarray, list, tuple)):
+            return Bicomplex.from_complex(np.asarray(value, dtype=complex))
+        if isinstance(value, Number):
             return Bicomplex.from_complex(complex(value))
-        except OverflowError:  # an int beyond float range
-            raise NonFiniteError("value is outside float range") from None
+    except OverflowError:  # an int beyond float range
+        raise NonFiniteError("value is outside float range") from None
+    except (TypeError, ValueError) as err:  # a ragged array, or entries that are not numbers
+        raise DomainError(f"cannot read {type(value).__name__} as an array of numbers: {err}") from None
     raise TypeError(f"cannot interpret {type(value).__name__} as Bicomplex")
 
 

@@ -27,8 +27,8 @@ class ExcludedParameterError(BCTransformsError, ValueError):
 
 
 class DomainError(BCTransformsError, ValueError):
-    """A weight parameter is not positive and finite, or a closed-form
-    integral was requested outside its convergence domain."""
+    """A parameter is outside its domain: a weight not positive and finite, a degree or count
+    not an int in range, points that form no array, or a closed-form integral that diverges."""
 
 
 class NonFiniteError(BCTransformsError, ArithmeticError):
@@ -58,9 +58,12 @@ def _require_positive(name: str, value) -> float:
     return out
 
 
-def _require_int(name: str, value, least: int) -> int:
-    """Return ``value`` as a Python int if it is an int (numpy ints included,
-    bools not) >= ``least``; otherwise raise DomainError."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-        raise DomainError(f"{name} must be an int >= {least}, got {value!r}")
+def _require_int(name: str, value, least: int, below: str = "") -> int:
+    """Return ``value`` as a Python int if it is an int (numpy ints included, bools
+    not) >= ``least``; otherwise raise DomainError (``below`` for an int below it)."""
+    message = f"{name} must be an int >= {least}, got {value!r}"
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise DomainError(message)
+    if value < least:
+        raise DomainError(below or message)
     return int(value)

@@ -20,7 +20,7 @@ kernel puts a ring point Z in place of y, the closed Mehler sums fold
 sigma x**2 into the exponent and the integral form folds (sigma/2) x**2, so
 the rotation kernel equals c_0 exp(-sigma x**2) times the closed Mehler sum
 by construction.  The series oracles instead sum theta**n psi_n(x) psi_n(y)
-term by term.
+term by term in the basis, as the expansion in psi_n(x) with coefficients theta**n psi_n(y).
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from .bicomplex import (
     sqrt_principal,
 )
 from .bargmann import HermiteCoeffVector
-from .errors import DomainError, ExcludedParameterError, _require_positive
-from .hermite import _ladder
+from .errors import DomainError, ExcludedParameterError, _require_int, _require_positive
+from .hermite import _expansion, _powers, psi_values
 from .quadrature import DEFAULT_ORDER, _gaussian_sum, _half_weight, normalization_c
 
 __all__ = [
@@ -160,12 +160,7 @@ def frft_kernel(sigma: float, theta: ThetaParam, x, y) -> Bicomplex:
 
 def frft_coefficients(psi: HermiteCoeffVector, theta: ThetaParam) -> HermiteCoeffVector:
     """Diagonal coefficient map c_n -> theta**n c_n."""
-    th = theta.theta
-
-    def powers(t):  # t**0 .. t**degree by repeated multiplication
-        return np.cumprod(np.concatenate(([1.0 + 0j], np.full(psi.degree, t))))
-
-    theta_n = Bicomplex.from_channels(powers(th.alpha), powers(th.beta))
+    theta_n = _channelwise(_powers)(theta.theta, psi.degree)
     return HermiteCoeffVector(psi.sigma, theta_n * psi.coeffs)
 
 
@@ -234,18 +229,17 @@ def mehler_closed(sigma: float, theta, x, y) -> Bicomplex:
 
 @_fails_closed
 def mehler_series(sigma: float, theta, x, y, n_terms: int = 60) -> Bicomplex:
-    """Partial Mehler sum sum_n theta**n psi_n(x) psi_n(y); ``y`` may be
+    """Partial Mehler sum sum_n theta**n psi_n(x) psi_n(y), the expansion in psi_n(x)
+    with coefficients theta**n psi_n(y); ``x`` and ``y`` broadcast, and either may be
     bicomplex.  A sum outside float range raises NonFiniteError."""
-    if n_terms < 1:
-        raise ValueError("need at least one term")
+    n = _require_int("n_terms", n_terms, 1, "need at least one term") - 1
     th, _, _ = _rotation(sigma, theta, _mehler_guard)
-    acc = power = ONE
-    ladders = zip(_ladder(n_terms - 1, sigma, x), _ladder(n_terms - 1, sigma, y))
-    next(ladders)  # the n = 0 term is the ONE already in acc
-    for px, py in ladders:
-        power = power * th
-        acc = acc + power * (px * py)
-    return acc
+
+    def series(t, x, y):  # sum_n t**n psi_n(y) psi_n(x) on one channel, a complex at a point
+        out = _expansion((np.array(psi_values(n, sigma, y)).T * _powers(t, n)).T, sigma, x)
+        return out if np.ndim(out) else complex(out)
+
+    return _channelwise(series)(th, x, y)
 
 
 def mehler_bilinear_bc(sigma: float, theta, Z: Bicomplex, y) -> Bicomplex:

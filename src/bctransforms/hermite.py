@@ -34,8 +34,8 @@ import math
 
 import numpy as np
 
-from .bicomplex import Bicomplex, ONE, _channelwise, _fails_closed, _require_finite, as_bicomplex, conj_star
-from .errors import NonFiniteError, _require_positive
+from .bicomplex import Bicomplex, _channelwise, _fails_closed, _require_finite, as_bicomplex, conj_star
+from .errors import NonFiniteError, _require_int, _require_positive
 
 __all__ = [
     "hermite_sigma",
@@ -48,11 +48,9 @@ __all__ = [
 ]
 
 
-def _validate(n: int, sigma: float) -> float:
-    """``sigma`` as a Python float, once the degree and the weight are checked."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    return _require_positive("sigma", sigma)
+def _degree(n: int) -> int:
+    """``n`` as a Python int; a degree that is not an int >= 0 raises DomainError."""
+    return _require_int("degree", n, 0, "degree must be nonnegative")
 
 
 def _ratios(degree: int, c: float) -> np.ndarray:
@@ -81,9 +79,9 @@ def _weight(n: int, c: float) -> float:
 
 
 def _ladder(n: int, sigma: float, x):
-    """Yield psi_0(x) .. psi_n(x) by the normalized three-term recurrence;
-    ``x`` may be a real scalar, an ndarray or a Bicomplex value."""
-    p_prev, p = 0.0, ONE if isinstance(x, Bicomplex) else 1.0 + 0.0 * x
+    """Yield psi_0(x) .. psi_n(x) by the normalized three-term recurrence, one rung
+    at a time (a fold holds two); ``x`` may be a scalar, an ndarray or a Bicomplex."""
+    p_prev, p = 0.0, 1.0 + 0.0 * x
     yield p
     root_c_x = math.sqrt(2.0 * sigma) * x
     for k in range(n):
@@ -118,7 +116,7 @@ def hermite_sigma_bc(n: int, sigma: float, Z: Bicomplex) -> Bicomplex:
 
 def hermite_norm_sq(n: int, sigma: float) -> float:
     """Squared weighted norm (2 sigma)**n n! of H_n; outside float range it raises NonFiniteError."""
-    sigma = _validate(n, sigma)
+    n, sigma = _degree(n), _require_positive("sigma", sigma)
     return _weight(n, 2.0 * sigma)
 
 
@@ -130,7 +128,7 @@ def psi_n(n: int, sigma: float, x):
 def psi_values(n_max: int, sigma: float, x) -> list:
     """All of psi_0 .. psi_{n_max} at ``x`` in one recurrence pass; a value
     outside float range raises NonFiniteError."""
-    sigma = _validate(n_max, sigma)
+    n_max, sigma = _degree(n_max), _require_positive("sigma", sigma)
     message = f"psi_{n_max} at sigma={sigma} is outside float range"
     with np.errstate(all="ignore"):
         try:
@@ -140,6 +138,19 @@ def psi_values(n_max: int, sigma: float, x) -> list:
     # a non-finite rung makes every later rung non-finite, so the last decides
     _require_finite(values[-1], message)
     return values
+
+
+def _powers(t, degree: int) -> np.ndarray:
+    """t**0 .. t**degree along a new first axis, by repeated multiplication."""
+    t = np.asarray(t)[None]
+    return np.cumprod(np.concatenate((np.ones_like(t), np.repeat(t, degree, axis=0))), axis=0)
+
+
+def _expansion(coeffs, sigma: float, x):
+    """sum_n coeffs[n] psi_n(x), the sum of every Hermite expansion: einsum's own loop
+    (not BLAS) contracts the coefficient rows, of shape (N+1, ...), against the rows
+    psi_0(x) .. psi_N(x), the trailing axes broadcast.  ``_channelwise`` lifts it to the ring."""
+    return np.einsum("n...,n...->...", coeffs, np.array(psi_values(len(coeffs) - 1, sigma, x)))
 
 
 def _generating_exponent(sigma, nu):
@@ -168,17 +179,15 @@ def generating_G(sigma: float, nu: float, x, Z: Bicomplex) -> Bicomplex:
 def generating_series(sigma: float, nu: float, x, Z: Bicomplex, n_terms: int = 60) -> Bicomplex:
     """Partial sum of the generating series; the oracle for :func:`generating_G`.
 
-    Terms are psi_n(x) (Z*)**n r_n with r_n = (nu**n / (2**n n!))**(1/2).  A sum
-    outside float range raises NonFiniteError.
+    It is the expansion in psi_n(x) with coefficients r_n (Z*)**n, where r_n =
+    (nu**n / (2**n n!))**(1/2).  A sum outside float range raises NonFiniteError.
     """
-    if n_terms < 1:
-        raise ValueError("need at least one term")
-    sigma, nu = _validate(n_terms - 1, sigma), _require_positive("nu", nu)
-    Zs = conj_star(as_bicomplex(Z))
-    terms = zip(_ladder(n_terms - 1, sigma, x), _scale(n_terms - 1, 2.0 / nu).tolist())
-    acc = as_bicomplex(next(terms)[0])  # r_0 = 1
-    power = ONE
-    for p, r in terms:
-        power = power * Zs
-        acc = acc + (power * p) * r
-    return acc
+    n = _require_int("n_terms", n_terms, 1, "need at least one term") - 1
+    sigma, nu = _require_positive("sigma", sigma), _require_positive("nu", nu)
+    r = _scale(n, 2.0 / nu)
+
+    def series(zs, x):  # sum_n r_n zs**n psi_n(x) on one channel, a complex at a point
+        out = _expansion((_powers(zs, n).T * r).T, sigma, x)
+        return out if np.ndim(out) else complex(out)
+
+    return _channelwise(series)(conj_star(as_bicomplex(Z)), x)

@@ -284,6 +284,46 @@ def test_mehler_series_needs_a_term(n_terms):
         mehler_series(1.0, 0.5, 0.1, 0.2, n_terms=n_terms)
 
 
+# a degree or a term count; each call once raised a bare TypeError for a
+# non-int, or (the two norms) returned a float, and refuses a negative int
+# with the message given
+COUNT_CALLS = {
+    "psi_values": (lambda v: psi_values(v, 1.0, 0.3), "degree must be nonnegative"),
+    "psi_n": (lambda v: psi_n(v, 1.0, 0.3), "degree must be nonnegative"),
+    "hermite_sigma": (lambda v: hermite_sigma(v, 1.0, 0.3), "degree must be nonnegative"),
+    "hermite_norm_sq": (lambda v: hermite_norm_sq(v, 1.0), "degree must be nonnegative"),
+    "monomial_norm_sq": (lambda v: monomial_norm_sq(v, 1.0), "degree must be nonnegative"),
+    "HermiteCoeffVector.basis": (lambda v: HermiteCoeffVector.basis(v, 1.0), "degree must be nonnegative"),
+    "MonomialCoeffVector.basis": (lambda v: MonomialCoeffVector.basis(v, 1.0), "degree must be nonnegative"),
+    "mehler_series.n_terms": (lambda v: mehler_series(1.0, 0.5, 0.1, 0.2, n_terms=v), "need at least one term"),
+    "mehler_bilinear_series.n_terms": (
+        lambda v: mehler_bilinear_series(1.0, 0.5, Z1, 0.2, n_terms=v), "need at least one term",
+    ),
+    "generating_series.n_terms": (
+        lambda v: generating_series(1.0, 2.0, 0.1, Z1, n_terms=v), "need at least one term",
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, np.float64(3.0), "3", None, True])
+@pytest.mark.parametrize("name", list(COUNT_CALLS))
+def test_degree_and_term_count_must_be_ints(name, bad):
+    with pytest.raises(ValueError) as info:
+        COUNT_CALLS[name][0](bad)
+    assert type(info.value) is DomainError
+    assert "must be an int >= " in str(info.value)
+
+
+@pytest.mark.parametrize("name", list(COUNT_CALLS))
+def test_degree_and_term_count_below_range_keep_their_message(name):
+    call, message = COUNT_CALLS[name]
+    with pytest.raises(DomainError, match=message):
+        call(-1)
+    # the least value and a numpy int are accepted
+    least = 1 if "n_terms" in name else 0
+    assert _all_finite(call(least)) and _all_finite(call(np.int64(least + 2)))
+
+
 # wide-range finite inputs for the property test below
 _REAL = st.floats(-1e300, 1e300)
 _COMPLEX = st.builds(complex, _REAL, _REAL)
@@ -297,6 +337,7 @@ _TERMS = st.integers(1, 60)
 _ENTRIES = st.lists(_BC, min_size=1, max_size=6)
 _POINTS = st.lists(st.tuples(_COMPLEX, _COMPLEX), min_size=1, max_size=4)
 _REALS = st.lists(_REAL, min_size=1, max_size=4)
+_COMPLEXES = st.lists(_COMPLEX, min_size=1, max_size=4)
 
 
 def _bc_array(components):
@@ -387,6 +428,14 @@ FAILS_CLOSED = {
     ),
     "s_transform": lambda d: s_transform(lambda xi: xi, d.draw(_WEIGHT), _bc_array(d.draw(_POINTS)), order=6),
     "project_P": lambda d: project_P(lambda W: W, d.draw(_WEIGHT), _bc_array(d.draw(_POINTS)), order=4),
+    # a list of points reads as the array of its entries, on the slice
+    "s_transform.list": lambda d: s_transform(lambda xi: xi, d.draw(_WEIGHT), d.draw(_COMPLEXES), order=6),
+    "project_P.list": lambda d: project_P(lambda W: W, d.draw(_WEIGHT), d.draw(_COMPLEXES), order=4),
+    "sbt_forward_integral.list": lambda d: sbt_forward_integral(
+        lambda x: x, d.draw(_WEIGHT), d.draw(_WEIGHT), d.draw(_COMPLEXES), order=6
+    ),
+    "kernel_K_BC.list": lambda d: kernel_K_BC(d.draw(_WEIGHT), d.draw(_COMPLEXES), d.draw(_BC)),
+    "hermite_sigma_bc.list": lambda d: hermite_sigma_bc(d.draw(_DEGREE), d.draw(_WEIGHT), d.draw(_COMPLEXES)),
     "frft_apply": lambda d: frft_apply(
         lambda x: x, d.draw(_THETA), np.array(d.draw(_REALS)), sigma=d.draw(_WEIGHT), order=6
     ),

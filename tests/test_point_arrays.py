@@ -18,6 +18,7 @@ from bctransforms import (
     sbt_inverse_integral,
 )
 from bctransforms import norm as bc_norm
+from bctransforms.errors import DomainError
 
 SIGMA, NU = 1.3, 1.7
 THETA = ThetaParam.from_phases(0.9, 2.2)
@@ -78,6 +79,13 @@ def test_point_contract(name):
         for index in np.ndindex(shape):
             want = form(f, _point(P, index))
             assert bc_norm(got[index] - want) <= 1e-14 * bc_norm(want)
+    # a list or tuple of points reads as the array of its entries: real points
+    # on the line, slice points z + j 0 on the plane and the ring
+    entries = [[0.3, -0.8], [1.1, 0.25 + 0.1j if draw is _ring_points else 0.5]]
+    want = form(f, np.array(entries))
+    for listed in (entries, tuple(map(tuple, entries))):
+        got = form(f, listed)
+        assert np.array_equal(got.alpha, want.alpha) and np.array_equal(got.beta, want.beta)
     # the integrand is called as often for 300 points as for one: once on the
     # line and the plane, once per block of grid rows on the ring
     calls = []
@@ -145,3 +153,10 @@ def test_mixing_integrand_on_ring_points():
     for k in range(3):
         want = project_P(lambda W: W.z1, 2.0, Z[k])
         assert bc_norm(got[k] - want) <= 1e-14 * bc_norm(want)
+
+
+@pytest.mark.parametrize("name", [name for name in FORMS if FORMS[name][2] is _ring_points])
+def test_ragged_list_of_points_is_refused(name):
+    form, f, _, _ = FORMS[name]
+    with pytest.raises(DomainError, match="cannot read list as an array of numbers"):
+        form(f, [[0.1, 0.2], [0.3]])
