@@ -35,7 +35,7 @@ from .bicomplex import (
     norm as bc_norm,
 )
 from .errors import DimensionMismatch, _require_positive
-from .hermite import _degree, _expansion, _ratios, _scale, _weight
+from .hermite import _degree, _expansion, _planar_exponential, _ratios, _scale, _weight
 from .quadrature import DEFAULT_BC_ORDER, DEFAULT_ORDER, _gaussian_sum
 
 __all__ = [
@@ -197,18 +197,11 @@ def _reproducing_exponent(gamma):
     return 0.0, lambda z: gamma * z
 
 
-def _planar_kernel(gamma, z, w):
-    """The planar reproducing kernel exp(gamma z conj(w)) = exp(b(z) conj(w)), on
-    complex values (a = 0)."""
-    _, b = _reproducing_exponent(gamma)
-    return np.exp(b(z) * np.conjugate(w))
-
-
 @_fails_closed
 def kernel_K_C(gamma: float, z: complex, w: complex) -> complex:
     """Classical planar reproducing kernel exp(gamma z conj(w))."""
     gamma = _require_positive("gamma", gamma)
-    return _planar_kernel(gamma, z, w)
+    return _planar_exponential(*_reproducing_exponent(gamma), z, w)
 
 
 @_fails_closed
@@ -216,7 +209,7 @@ def kernel_K_BC(nu: float, Z: Bicomplex, W: Bicomplex) -> Bicomplex:
     """Bicomplex reproducing kernel exp((nu/2) Z W*): the planar kernel with
     gamma = nu/2 on each channel, as W* conjugates each channel."""
     nu = _require_positive("nu", nu)
-    return _channelwise(_planar_kernel)(0.5 * nu, as_bicomplex(Z), as_bicomplex(W))
+    return _channelwise(_planar_exponential)(*_reproducing_exponent(0.5 * nu), as_bicomplex(Z), as_bicomplex(W))
 
 
 def monomial_norm_sq(n: int, nu: float) -> float:

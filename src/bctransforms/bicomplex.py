@@ -38,7 +38,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import BranchCutError, DomainError, NonFiniteError, NullConeError
+from .errors import BCTransformsError, BranchCutError, DomainError, NonFiniteError, NullConeError, _require_int
 
 __all__ = [
     "Bicomplex",
@@ -86,9 +86,9 @@ def _require_finite(value, message: str):
 
 
 def _fails_closed(fn):
-    """Run ``fn`` with numpy's warnings off; a Python OverflowError inside it, or a
-    non-finite number, array or Bicomplex returned, raises NonFiniteError.  Not for
-    functions that call a user callable."""
+    """Run ``fn`` with numpy's warnings off; an OverflowError inside it, or a non-finite
+    number, array or Bicomplex returned, raises NonFiniteError, and a bare ValueError
+    (shapes that do not broadcast) DomainError.  Not for functions that call user code."""
     message = f"{fn.__qualname__} is outside float range"
 
     @functools.wraps(fn)
@@ -98,6 +98,10 @@ def _fails_closed(fn):
                 out = fn(*args, **kwargs)
             except OverflowError as err:
                 raise NonFiniteError(message) from err
+            except BCTransformsError:
+                raise
+            except ValueError as err:
+                raise DomainError(f"{fn.__qualname__} cannot take these arguments: {err}") from None
         return _require_finite(out, message)
 
     return wrapper
@@ -362,6 +366,19 @@ def as_bicomplex(value) -> Bicomplex:
     raise TypeError(f"cannot interpret {type(value).__name__} as Bicomplex")
 
 
+def _real_points(value):
+    """A list or tuple of real points as a float array, any other value as given; a
+    ragged one raises DomainError, and an int beyond float range NonFiniteError."""
+    if not isinstance(value, (list, tuple)):
+        return value
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:  # an int beyond float range
+        raise NonFiniteError("value is outside float range") from None
+    except (TypeError, ValueError) as err:  # a ragged list, or entries that are not real numbers
+        raise DomainError(f"cannot read {type(value).__name__} as an array of numbers: {err}") from None
+
+
 # -- contract surface: named operations --------------------------------
 
 
@@ -425,10 +442,8 @@ def exp(Z: Bicomplex) -> Bicomplex:
 
 
 def pow(Z: Bicomplex, n: int) -> Bicomplex:  # noqa: A001 - contract name
-    """Integer power with channelwise alpha**n, beta**n; n must be >= 0."""
-    if n < 0:
-        raise ValueError("pow expects a nonnegative exponent; use inverse() first")
-    return Z**n
+    """Integer power with channelwise alpha**n, beta**n; n must be an int >= 0."""
+    return Z ** _require_int("n", n, 0, "pow expects a nonnegative exponent; use inverse() first")
 
 
 def sqrt_principal(Z: Bicomplex) -> Bicomplex:

@@ -13,19 +13,18 @@ form uses the Gaussian kernel
     (c_0 / sqrt(1 - theta**2)) exp(-S (x - theta y)**2),   S = sigma / (1 - theta**2),
 
 whose real decay rate in x is exactly sigma/2 on the unit torus and faster
-inside it, so the quadrature rule always carries gamma = sigma/2 with the
-residual folded in.  Every kernel here is a prefactor times the one complex
-formula exp(fold - S (x - theta Y)**2) applied to each channel: the continued
-kernel puts a ring point Z in place of y, the closed Mehler sums fold
-sigma x**2 into the exponent and the integral form folds (sigma/2) x**2, so
-the rotation kernel equals c_0 exp(-sigma x**2) times the closed Mehler sum
-by construction.  The series oracles instead sum theta**n psi_n(x) psi_n(y)
-term by term in the basis, as the expansion in psi_n(x) with coefficients theta**n psi_n(y).
+inside it, so the quadrature rule always carries gamma = sigma/2, and the
+integral form passes the kernel's coefficients to the line sum.  Every kernel
+here is the line formula c exp(fold - S (x - theta Y)**2) on each channel:
+the continued kernel puts a ring point Z in place of y, and the closed Mehler
+sums fold sigma x**2 in, so the rotation kernel equals c_0 exp(-sigma x**2) times
+the closed Mehler sum by construction.  The series oracles instead sum
+theta**n psi_n(x) psi_n(y) term by term in the basis, as the expansion in
+psi_n(x) with coefficients theta**n psi_n(y).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -38,6 +37,7 @@ from .bicomplex import (
     ONE,
     _channelwise,
     _fails_closed,
+    _real_points,
     as_bicomplex,
     conj_star,
     inverse as bc_inverse,
@@ -46,7 +46,7 @@ from .bicomplex import (
 from .bargmann import HermiteCoeffVector
 from .errors import DomainError, ExcludedParameterError, _require_int, _require_positive
 from .hermite import _expansion, _powers, psi_values
-from .quadrature import DEFAULT_ORDER, _gaussian_sum, _half_weight, normalization_c
+from .quadrature import DEFAULT_ORDER, _gaussian_sum, _half_weight, _line_gaussian, normalization_c
 
 __all__ = [
     "ThetaParam",
@@ -104,7 +104,7 @@ class ThetaParam:
             if not (abs(th.alpha) < 1.0 and abs(th.beta) < 1.0):
                 raise ExcludedParameterError("interior theta needs both channel moduli < 1")
         else:
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise DomainError(f"unknown mode {self.mode!r}")
 
     @classmethod
     def from_phases(cls, phi1: float, phi2: float) -> "ThetaParam":
@@ -135,27 +135,16 @@ def _rotation(
     return th, bc_inverse(sqrt_principal(pd)), sigma * bc_inverse(pd)
 
 
-def _rotation_gaussian(S, theta, x, Y, fold=0):
-    """exp(fold - S (x - theta Y)**2), on complex values: every rotation kernel
-    is a prefactor times this formula on each channel, with ``fold`` the
-    Gaussian term added to the rotation exponent."""
-    square = (x - theta * Y) ** 2
-    return np.exp(fold - S * square)
-
-
-@_fails_closed
-def _folded_kernel(sigma: float, S: Bicomplex, theta: Bicomplex, pref: Bicomplex, y, x) -> Bicomplex:
-    """The rotation kernel at output points ``y`` and nodes ``x`` against the
-    normalized line measure at sigma/2: the prefactor times c_0(sigma) /
-    c_0(sigma/2) = sqrt(2), and the residual exp(+(sigma/2) x**2) folded in."""
-    return (math.sqrt(2.0) * pref) * _channelwise(_rotation_gaussian)(S, theta, x, y, (0.5 * sigma) * x**2)
+def _rotation_kernel(sigma: float, theta: ThetaParam) -> tuple[Bicomplex, Bicomplex, Bicomplex]:
+    """The coefficients (c_0(sigma) (1 - theta**2)**(-1/2), S, theta) of the rotation kernel."""
+    th, pref, S = _rotation(sigma, theta.theta)
+    return normalization_c(0, sigma) * pref, S, th
 
 
 @_fails_closed
 def frft_kernel(sigma: float, theta: ThetaParam, x, y) -> Bicomplex:
     """Gaussian rotation kernel at real points ``x``, ``y``."""
-    th, pref, S = _rotation(sigma, theta.theta)
-    return (normalization_c(0, sigma) * pref) * _channelwise(_rotation_gaussian)(S, th, x, y)
+    return _channelwise(_line_gaussian)(*_rotation_kernel(sigma, theta), _real_points(x), _real_points(y))
 
 
 def frft_coefficients(psi: HermiteCoeffVector, theta: ThetaParam) -> HermiteCoeffVector:
@@ -176,8 +165,8 @@ def frft_apply(
     """Transform ``psi`` and evaluate at ``y``.
 
     A HermiteCoeffVector goes through the exact coefficient path.  A callable
-    is integrated against the kernel with rule weight sigma/2 and the
-    residual exp(+(sigma/2) x**2) folded into the exponent; ``sigma`` is then
+    is integrated against frft_kernel's coefficients with rule weight sigma/2,
+    whose exp(+(sigma/2) x**2) is folded into the exponent; ``sigma`` is then
     required, and ``psi`` is called once, on the node array.  ``y`` may be an
     array, whose shape the result takes (a scalar gives ``complex``
     channels).  ``vectorized`` is accepted for compatibility only.
@@ -186,9 +175,7 @@ def frft_apply(
         return frft_coefficients(psi, theta).evaluate(y)
     if sigma is None:
         raise TypeError("sigma is required when psi is a callable")
-    th, pref, S = _rotation(sigma, theta.theta)
-    kernel = functools.partial(_folded_kernel, sigma, S, th, pref)
-    return _gaussian_sum(psi, "line", _half_weight("sigma", sigma), order, kernel, y)
+    return _gaussian_sum(psi, "line", _half_weight("sigma", sigma), order, _rotation_kernel(sigma, theta), y)
 
 
 def frft_inverse(
@@ -224,7 +211,8 @@ def mehler_closed(sigma: float, theta, x, y) -> Bicomplex:
     The exponent is the rotation exponent -S (x - theta y)**2 plus sigma x**2.
     """
     th, pref, S = _rotation(sigma, theta, _mehler_guard)
-    return pref * _channelwise(_rotation_gaussian)(S, th, x, y, sigma * x * x)
+    x, y = _real_points(x), _real_points(y)
+    return _channelwise(_line_gaussian)(pref, S, th, x, y, sigma * x * x)
 
 
 @_fails_closed

@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .bicomplex import Bicomplex, _channelwise, _fails_closed, _require_finite, as_bicomplex, conj_star
+from .bicomplex import Bicomplex, _channelwise, _fails_closed, _real_points, _require_finite, as_bicomplex, conj_star
 from .errors import NonFiniteError, _require_int, _require_positive
 
 __all__ = [
@@ -128,7 +128,7 @@ def psi_n(n: int, sigma: float, x):
 def psi_values(n_max: int, sigma: float, x) -> list:
     """All of psi_0 .. psi_{n_max} at ``x`` in one recurrence pass; a value
     outside float range raises NonFiniteError."""
-    n_max, sigma = _degree(n_max), _require_positive("sigma", sigma)
+    n_max, sigma, x = _degree(n_max), _require_positive("sigma", sigma), _real_points(x)
     message = f"psi_{n_max} at sigma={sigma} is outside float range"
     with np.errstate(all="ignore"):
         try:
@@ -158,21 +158,23 @@ def _generating_exponent(sigma, nu):
     return -0.25 * nu, lambda x: math.sqrt(sigma * nu) * x
 
 
-def _generating(sigma, nu, x, z):
-    """exp(-(nu/4) conj(z)**2 + sqrt(sigma nu) x conj(z)), on complex values."""
-    (a, b), zs = _generating_exponent(sigma, nu), np.conjugate(z)
-    return np.exp(a * (zs * zs) + b(x) * zs)
+def _planar_exponential(a, b, p, w):
+    """exp(a conj(w)**2 + b(p) conj(w)) on complex values, without the a term where
+    a == 0: every planar kernel is this formula on each channel."""
+    ws = np.conjugate(w)
+    exponent = b(p) * ws
+    if a != 0:
+        exponent = a * (ws * ws) + exponent
+    return np.exp(exponent)
 
 
 @_fails_closed
 def generating_G(sigma: float, nu: float, x, Z: Bicomplex) -> Bicomplex:
-    """Closed form exp(-(nu/4) (Z*)**2 + sqrt(sigma nu) x Z*) of the pairing series,
-    the complex closed form on each channel, as Z* conjugates each channel.
-
-    ``x`` may be a scalar or ndarray; ``Z`` a Bicomplex value.
-    """
+    """Closed form exp(-(nu/4) (Z*)**2 + sqrt(sigma nu) x Z*) of the pairing series at real
+    points ``x`` and a ring value ``Z``: the planar formula on each channel, as Z* conjugates
+    each channel."""
     sigma, nu = _require_positive("sigma", sigma), _require_positive("nu", nu)
-    return _channelwise(_generating)(sigma, nu, x, as_bicomplex(Z))
+    return _channelwise(_planar_exponential)(*_generating_exponent(sigma, nu), _real_points(x), as_bicomplex(Z))
 
 
 @_fails_closed

@@ -20,15 +20,16 @@ cached and rescaled exactly, so rules at different gamma share node/weight
 ratios to machine precision.
 
 Every integrator calls its integrand on arrays of nodes, so it must broadcast.
-The integral forms of other modules integrate against the probability-normalized
-Gaussian of their space through one function, ``_gaussian_sum``, which builds the
-rule, the grid and the constant.  A line kernel times the rule weight is a weight
-that depends on the output point; a planar kernel
-exp(a conj(xi)**2 + b(p) conj(xi)) comes as its coefficients and is summed in
-factored form, 2n exponentials per point, not n**2.  The ring integrand is first
-reduced to its two planar marginals, so a ring sum is a planar sum and ``f`` is
-called per block of grid rows, not per point.  Integrands whose Gaussian decay
-differs from the rule's weight must fold the residual exponential into ``f``.
+The integral forms of other modules integrate through one function,
+``_gaussian_sum``, which builds the rule, the grid and the constant, and pass
+the coefficients of their closed-form kernels.  A line kernel
+c exp(-s (x - shift p)**2) comes as (c, s, shift) and is evaluated per block
+of points with exp(+gamma x**2) folded in, so that it meets the raw rule weights; a
+planar kernel exp(a conj(xi)**2 + b(p) conj(xi)) comes as (a, b) and is summed
+in factored form, 2n exponentials per point, not n**2.  The ring integrand is
+first reduced to its two planar marginals, so a ring sum is a planar sum and
+``f`` is called per block of grid rows, not per point.  Integrands whose Gaussian
+decay differs from the rule's weight must fold the residual exponential into ``f``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bicomplex import Bicomplex, _fails_closed, _require_finite, as_bicomplex
+from .bicomplex import Bicomplex, _channelwise, _fails_closed, _real_points, _require_finite, as_bicomplex
 from .errors import BCTransformsError, ConvergenceError, DomainError, NonFiniteError, _require_int, _require_positive
 from .hermite import _ladder, _ladder_ratio
 
@@ -228,9 +229,9 @@ def _ring_marginals(f: Callable, nodes, weights, kernel) -> Bicomplex:
 
 def _point_sum(block_sum: Callable, points, step: int) -> Bicomplex:
     """The channel totals ``block_sum(P)``, silenced: for a scalar point (or none) whole, as
-    ``complex`` channels, and for an array in blocks P of ``step`` columns, as channels of its
-    shape.  A total outside float range raises NonFiniteError."""
-    channels = (points.alpha, points.beta) if isinstance(points, Bicomplex) else (points,)
+    ``complex`` channels, and for an array (a list of real points reads as one) in blocks P of
+    ``step`` columns, as channels of its shape.  A total outside float range raises NonFiniteError."""
+    channels = (points.alpha, points.beta) if isinstance(points, Bicomplex) else (_real_points(points),)
     shape = () if points is None else np.broadcast(*channels).shape
     blocks = [points]
     if shape:
@@ -248,15 +249,25 @@ def _point_sum(block_sum: Callable, points, step: int) -> Bicomplex:
     return out if shape else Bicomplex.from_channels(complex(out.alpha), complex(out.beta))
 
 
-def _kernel_sum(values: Bicomplex, nodes, weights, kernel=None, points=None) -> Bicomplex:
-    """sum_k weights_k kernel(p, t_k) values_k at each point p, for the integrators (no kernel)
-    and the line forms: each channel of ``kernel(P, nodes)``, a decorated closed form at a
-    block P of ``points``, times the weights is a weight that depends on the point."""
+def _line_gaussian(c, s, shift, x, Y, fold=0):
+    """c exp(fold - s (x - shift Y)**2) on complex values: every line kernel is this formula on
+    each channel, at the coefficients (c, s, shift) its integral forms pass, with ``fold`` a
+    Gaussian term added to the exponent.  The square stays ``**2``: on Python complex scalars
+    it raises OverflowError where a product would return inf."""
+    square = (x - shift * Y) ** 2
+    gaussian = np.exp(fold - s * square)
+    return c * gaussian
+
+
+def _kernel_sum(values: Bicomplex, nodes, weights, kernel=None, points=None, gamma=0.0) -> Bicomplex:
+    """sum_k weights_k K(p, t_k) values_k at each point p.  The integrators pass no kernel
+    (K = 1); a line form passes the coefficients (c, s, shift) of its closed form, and K is
+    that form times exp(gamma t**2) at a block P of ``points``, on each channel."""
 
     def block_sum(P):
         wa = wb = weights
         if kernel is not None:
-            K = kernel(P, nodes)
+            K = _channelwise(_line_gaussian)(*kernel, nodes, P, gamma * nodes**2)
             wa, wb = K.alpha * weights, K.beta * weights
         return np.sum(wa * values.alpha, axis=-1), np.sum(wb * values.beta, axis=-1)
 
@@ -357,18 +368,18 @@ def _gaussian_sum(f: Callable, space: str, param: float, order: int, kernel=None
     with ``param`` sigma on the line and nu otherwise, refused by that name
     before a rule is built.  The ring measure is the plane's on each channel,
     (nu/pi)**2 / 4 = c_1(nu/2)**2, and a ring kernel acts channelwise, so the
-    ring is the plane with ``f`` reduced to its planar marginals.  A line
-    ``kernel(P, nodes)`` goes to :func:`_kernel_sum`, a planar (a, b) to
-    :func:`_factored_sum`.
+    ring is the plane with ``f`` reduced to its planar marginals.  A planar
+    ``kernel`` (a, b) goes to :func:`_factored_sum`; a line (c, s, shift) is a
+    closed form against dx, summed on the raw weights with exp(+gamma x**2).
     """
     line = space == "line"
     gamma = _require_positive("sigma", param) if line else _half_weight("nu", param)
     rule = gauss_hermite(order, gamma)
     nodes, w = (rule.nodes, rule.weights) if line else _complex_grid(rule)
-    weights = normalization_c(0 if line else 1, gamma) * w
+    weights = w if line and kernel else normalization_c(0 if line else 1, gamma) * w
     values = _ring_marginals(f, nodes, weights, kernel) if space == "ring" else _evaluate(f, nodes, weights.shape)
     if line or kernel is None:
-        return _kernel_sum(values, nodes, weights, kernel, points)
+        return _kernel_sum(values, nodes, weights, kernel, points, gamma)
     return _factored_sum(values, rule.nodes, weights, kernel, points)
 
 

@@ -10,12 +10,11 @@ as independent oracles:
     inverse:  c_T * integral exp(-nu |Z|**2 - (nu/4)(Z*)**2
                                + sqrt(sigma nu) x Z*) f(Z) dlambda(Z)
 
-Both integral forms integrate the closed-form kernels they are defined by:
-the rule's Gaussian weight is the kernel's own Gaussian factor, and the rest
-of the kernel is ``generating_G`` (G(x, Z*) forward, G(x, Z) inverse); the
-slice transform integrates ``kernel_K_BC``.  These planar kernels reach the
-sum as the exponent coefficients their closed forms are evaluated from, so a
-total outside float range raises in the sum.  The inverse integral
+Each integral form passes the coefficients its closed-form kernel is
+evaluated from, so a total outside float range raises in the sum: the forward
+form those of ``sbt_kernel_BC``, the inverse form (whose rule weight is the
+kernel's Gaussian factor) those of the rest, ``generating_G``, and the slice
+transform those of ``kernel_K_BC``.  The inverse integral
 factorizes over the idempotent channels for holomorphic ``f`` (the only
 inputs for which the inversion theorem speaks), which is what the default
 "split" method computes; "tensor" runs the literal four-real-dimensional
@@ -30,13 +29,11 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import numpy as np
-
-from .bicomplex import Bicomplex, _channelwise, _fails_closed, as_bicomplex, conj_star
+from .bicomplex import Bicomplex, _channelwise, _fails_closed, _real_points, as_bicomplex
 from .bargmann import HermiteCoeffVector, MonomialCoeffVector, _reproducing_exponent
 from .errors import DomainError, _require_positive
-from .hermite import _generating_exponent, generating_G
-from .quadrature import DEFAULT_ORDER, _gaussian_sum, normalization_c
+from .hermite import _generating_exponent
+from .quadrature import DEFAULT_ORDER, _gaussian_sum, _line_gaussian, normalization_c
 
 __all__ = [
     "sbt_kernel_C",
@@ -55,19 +52,16 @@ __all__ = [
 INVERSE_ORDER = 80
 
 
-def _gaussian_kernel(sigma, gamma, x, z):
-    """The Gaussian kernel c_0 exp(-sigma (x - sqrt(gamma/(2 sigma)) z)**2), on
-    complex values.  The square stays ``**2``: on Python complex scalars it
-    raises OverflowError where a product would return inf."""
-    shift = math.sqrt(gamma / (2.0 * sigma))
-    return normalization_c(0, sigma) * np.exp(-sigma * (x - shift * z) ** 2)
+def _gaussian_kernel(sigma, gamma):
+    """The coefficients (c, s, shift) = (c_0(sigma), sigma, sqrt(gamma/(2 sigma))) of the Gaussian kernel."""
+    return normalization_c(0, sigma), sigma, math.sqrt(gamma / (2.0 * sigma))
 
 
 @_fails_closed
 def sbt_kernel_C(sigma: float, gamma: float, x: float, z: complex) -> complex:
     """Classical Gaussian kernel c_0 exp(-sigma (x - sqrt(gamma/(2 sigma)) z)**2)."""
     sigma, gamma = _require_positive("sigma", sigma), _require_positive("gamma", gamma)
-    return _gaussian_kernel(sigma, gamma, x, z)
+    return _line_gaussian(*_gaussian_kernel(sigma, gamma), _real_points(x), z)
 
 
 @_fails_closed
@@ -75,7 +69,7 @@ def sbt_kernel_BC(sigma: float, nu: float, x: float, Z: Bicomplex) -> Bicomplex:
     """Bicomplex kernel c_0 exp(-sigma (x - sqrt(nu/(4 sigma)) Z)**2): the
     Gaussian kernel with gamma = nu/2 on each channel."""
     sigma, nu = _require_positive("sigma", sigma), _require_positive("nu", nu)
-    return _channelwise(_gaussian_kernel)(sigma, 0.5 * nu, x, as_bicomplex(Z))
+    return _channelwise(_line_gaussian)(*_gaussian_kernel(sigma, 0.5 * nu), _real_points(x), as_bicomplex(Z))
 
 
 def sbt_forward(phi: HermiteCoeffVector, nu: float) -> MonomialCoeffVector:
@@ -99,18 +93,13 @@ def sbt_forward_integral(
 ) -> Bicomplex:
     """Forward transform of a line function by Gaussian-kernel quadrature.
 
-    The kernel c_0 exp(-sigma (x - a Z)**2) equals c_0 exp(-sigma x**2)
-    generating_G(x, Z*); the rule carries the Gaussian factor (gamma = sigma)
-    and generating_G(x, Z*) weights the nodes.  ``phi`` is called once, on
-    the node array; ``Z`` may be an array value, whose shape the result takes
-    (a scalar ``Z`` gives ``complex`` channels).  ``vectorized`` is accepted
-    for compatibility only.
+    The kernel is sbt_kernel_BC, c_0 exp(-sigma (x - a Z)**2) with a = sqrt(nu/(4 sigma)),
+    passed as its coefficients; the rule carries gamma = sigma.  ``phi`` is called once, on
+    the node array; ``Z`` may be an array value, whose shape the result takes (a scalar ``Z``
+    gives ``complex`` channels).  ``vectorized`` is accepted for compatibility only.
     """
     sigma, nu = _require_positive("sigma", sigma), _require_positive("nu", nu)
-
-    def kernel(P, x):
-        return generating_G(sigma, nu, x, P)
-    return _gaussian_sum(phi, "line", sigma, order, kernel, conj_star(as_bicomplex(Z)))
+    return _gaussian_sum(phi, "line", sigma, order, _gaussian_kernel(sigma, 0.5 * nu), as_bicomplex(Z))
 
 
 def sbt_inverse_integral(

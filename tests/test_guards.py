@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bctransforms import Bicomplex, as_bicomplex
+from bctransforms import pow as bc_pow
 from bctransforms.bargmann import (
     HermiteCoeffVector,
     MonomialCoeffVector,
@@ -238,10 +239,10 @@ def test_closed_form_kernel_fails_closed(name):
         OVERFLOWING_KERNELS[name]()
 
 
-# each integral form's kernel leaves float range on the rule's nodes; on the line
-# the error comes from the closed-form kernel, on the plane and the ring from the
-# factored sum, whose exponential factor exp(b u) overflows, through its check
-# on the totals
+# each integral form's kernel leaves float range on the rule's nodes, and the
+# sum's check on its totals raises: on the line the closed form's Gaussian,
+# evaluated from its coefficients at each block of points, overflows, and on
+# the plane and the ring the factored sum's exponential factor exp(b u) does
 OVERFLOWING_INTEGRALS = {
     "s_transform": lambda: s_transform(lambda xi: xi, 2.0, Bicomplex(400.0, 0j)),
     "sbt_forward_integral": lambda: sbt_forward_integral(lambda x: 1.0, 1.0, 2.0, Bicomplex(60j, 0j)),
@@ -284,10 +285,11 @@ def test_mehler_series_needs_a_term(n_terms):
         mehler_series(1.0, 0.5, 0.1, 0.2, n_terms=n_terms)
 
 
-# a degree or a term count; each call once raised a bare TypeError for a
-# non-int, or (the two norms) returned a float, and refuses a negative int
-# with the message given
+# a degree, a term count or an exponent; each call once raised a bare TypeError
+# for a non-int, or (the two norms) returned a float, or (pow) returned Z for
+# True, and refuses a negative int with the message given
 COUNT_CALLS = {
+    "pow": (lambda v: bc_pow(Z1, v), "pow expects a nonnegative exponent; use inverse"),
     "psi_values": (lambda v: psi_values(v, 1.0, 0.3), "degree must be nonnegative"),
     "psi_n": (lambda v: psi_n(v, 1.0, 0.3), "degree must be nonnegative"),
     "hermite_sigma": (lambda v: hermite_sigma(v, 1.0, 0.3), "degree must be nonnegative"),
@@ -324,6 +326,13 @@ def test_degree_and_term_count_below_range_keep_their_message(name):
     assert _all_finite(call(least)) and _all_finite(call(np.int64(least + 2)))
 
 
+def test_unknown_theta_mode_is_domain_error():
+    # it once raised a bare ValueError, where an unknown normalization_c tag or
+    # sbt_inverse_integral method raises DomainError
+    with pytest.raises(DomainError, match="unknown mode 'weird'"):
+        ThetaParam(Bicomplex(1j, 0j), mode="weird")
+
+
 # wide-range finite inputs for the property test below
 _REAL = st.floats(-1e300, 1e300)
 _COMPLEX = st.builds(complex, _REAL, _REAL)
@@ -338,6 +347,8 @@ _ENTRIES = st.lists(_BC, min_size=1, max_size=6)
 _POINTS = st.lists(st.tuples(_COMPLEX, _COMPLEX), min_size=1, max_size=4)
 _REALS = st.lists(_REAL, min_size=1, max_size=4)
 _COMPLEXES = st.lists(_COMPLEX, min_size=1, max_size=4)
+# rows of two to four points and of one point: a ragged list
+_RAGGED = st.builds(lambda row, x: [row, [x]], st.lists(_REAL, min_size=2, max_size=4), _REAL)
 
 
 def _bc_array(components):
@@ -436,6 +447,34 @@ FAILS_CLOSED = {
     ),
     "kernel_K_BC.list": lambda d: kernel_K_BC(d.draw(_WEIGHT), d.draw(_COMPLEXES), d.draw(_BC)),
     "hermite_sigma_bc.list": lambda d: hermite_sigma_bc(d.draw(_DEGREE), d.draw(_WEIGHT), d.draw(_COMPLEXES)),
+    # a list of real points reads as their array, and a ragged one is refused
+    "frft_kernel.list": lambda d: frft_kernel(d.draw(_WEIGHT), d.draw(_THETA), d.draw(_REALS), d.draw(_REALS)),
+    "mehler_closed.list": lambda d: mehler_closed(
+        d.draw(_WEIGHT), d.draw(_THETA).theta, d.draw(_REALS), d.draw(_REAL)
+    ),
+    "mehler_series.list": lambda d: mehler_series(
+        d.draw(_WEIGHT), d.draw(_THETA).theta, d.draw(_REALS), d.draw(_REAL), d.draw(_TERMS)
+    ),
+    "sbt_kernel_BC.list": lambda d: sbt_kernel_BC(d.draw(_WEIGHT), d.draw(_WEIGHT), d.draw(_REALS), d.draw(_BC)),
+    "generating_G.list": lambda d: generating_G(d.draw(_WEIGHT), d.draw(_WEIGHT), d.draw(_REALS), d.draw(_BC)),
+    "hermite_sigma.list": lambda d: hermite_sigma(d.draw(_DEGREE), d.draw(_WEIGHT), d.draw(_REALS)),
+    "HermiteCoeffVector.evaluate.list": lambda d: HermiteCoeffVector(d.draw(_WEIGHT), d.draw(_ENTRIES)).evaluate(
+        d.draw(_REALS)
+    ),
+    "frft_apply.list": lambda d: frft_apply(
+        lambda x: x, d.draw(_THETA), d.draw(_REALS), sigma=d.draw(_WEIGHT), order=6
+    ),
+    "sbt_inverse_integral.list": lambda d: sbt_inverse_integral(
+        lambda Z: Z, d.draw(_WEIGHT), d.draw(_WEIGHT), d.draw(_REALS), order=6
+    ),
+    "frft_kernel.ragged": lambda d: frft_kernel(d.draw(_WEIGHT), d.draw(_THETA), d.draw(_RAGGED), d.draw(_REAL)),
+    "psi_values.ragged": lambda d: psi_values(d.draw(_DEGREE), d.draw(_WEIGHT), d.draw(_RAGGED)),
+    "frft_apply.ragged": lambda d: frft_apply(
+        lambda x: x, d.draw(_THETA), d.draw(_RAGGED), sigma=d.draw(_WEIGHT), order=6
+    ),
+    "sbt_inverse_integral.ragged": lambda d: sbt_inverse_integral(
+        lambda Z: Z, d.draw(_WEIGHT), d.draw(_WEIGHT), d.draw(_RAGGED), order=6
+    ),
     "frft_apply": lambda d: frft_apply(
         lambda x: x, d.draw(_THETA), np.array(d.draw(_REALS)), sigma=d.draw(_WEIGHT), order=6
     ),

@@ -10,12 +10,23 @@ from bctransforms import (
     HermiteCoeffVector,
     MonomialCoeffVector,
     ThetaParam,
+    ck_frft_kernel,
     frft_apply,
     frft_inverse,
+    frft_kernel,
+    generating_G,
+    generating_series,
+    hermite_sigma,
+    mehler_bilinear_bc,
+    mehler_closed,
+    mehler_series,
     project_P,
+    psi_values,
     s_transform,
     sbt_forward_integral,
     sbt_inverse_integral,
+    sbt_kernel_BC,
+    sbt_kernel_C,
 )
 from bctransforms import norm as bc_norm
 from bctransforms.errors import DomainError
@@ -155,8 +166,45 @@ def test_mixing_integrand_on_ring_points():
         assert bc_norm(got[k] - want) <= 1e-14 * bc_norm(want)
 
 
-@pytest.mark.parametrize("name", [name for name in FORMS if FORMS[name][2] is _ring_points])
+@pytest.mark.parametrize("name", list(FORMS))
 def test_ragged_list_of_points_is_refused(name):
     form, f, _, _ = FORMS[name]
     with pytest.raises(DomainError, match="cannot read list as an array of numbers"):
         form(f, [[0.1, 0.2], [0.3]])
+
+
+Z = Bicomplex(0.3 + 0.2j, -0.1 + 0.4j)
+
+#: every function that takes real points x, called on them
+REAL_POINT_CALLS = {
+    "frft_kernel": lambda x: frft_kernel(SIGMA, THETA, x, 0.2),
+    "frft_kernel.y": lambda x: frft_kernel(SIGMA, THETA, 0.2, x),
+    "ck_frft_kernel": lambda x: ck_frft_kernel(SIGMA, THETA, x, Z),
+    "mehler_closed": lambda x: mehler_closed(SIGMA, THETA.theta, x, 0.2),
+    "mehler_bilinear_bc": lambda x: mehler_bilinear_bc(SIGMA, THETA.theta, Z, x),
+    "mehler_series": lambda x: mehler_series(SIGMA, THETA.theta, x, 0.2, n_terms=8),
+    "sbt_kernel_C": lambda x: sbt_kernel_C(SIGMA, NU / 2, x, 0.3 - 0.1j),
+    "sbt_kernel_BC": lambda x: sbt_kernel_BC(SIGMA, NU, x, Z),
+    "generating_G": lambda x: generating_G(SIGMA, NU, x, Z),
+    "generating_series": lambda x: generating_series(SIGMA, NU, x, Z, n_terms=8),
+    "psi_values": lambda x: psi_values(4, SIGMA, x)[-1],
+    "hermite_sigma": lambda x: hermite_sigma(4, SIGMA, x),
+    "HermiteCoeffVector.evaluate": HERMITE.evaluate,
+    "frft_apply.coefficients": lambda x: frft_apply(HERMITE, THETA, x),
+}
+
+
+def _channels(value):
+    return (value.alpha, value.beta) if isinstance(value, Bicomplex) else (value,)
+
+
+@pytest.mark.parametrize("name", list(REAL_POINT_CALLS))
+def test_list_of_real_points_reads_as_their_array(name):
+    call = REAL_POINT_CALLS[name]
+    entries = [[0.3, -0.8], [1.1, 0.5]]
+    want = call(np.array(entries))
+    for listed in (entries, tuple(map(tuple, entries))):
+        got = call(listed)
+        assert all(np.array_equal(g, w) for g, w in zip(_channels(got), _channels(want), strict=True))
+    with pytest.raises(DomainError, match="cannot read list as an array of numbers"):
+        call([[0.1, 0.2], [0.3]])

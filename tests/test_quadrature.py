@@ -7,11 +7,13 @@ from numpy.testing import assert_allclose
 
 from bctransforms import (
     Bicomplex,
+    HermiteCoeffVector,
     ThetaParam,
     as_bicomplex,
     conj_dagger,
     frft_apply,
     frft_inverse,
+    frft_kernel,
     gauss_hermite,
     generating_G,
     inner_H2nu,
@@ -25,6 +27,7 @@ from bctransforms import (
     s_transform,
     sbt_forward_integral,
     sbt_inverse_integral,
+    sbt_kernel_BC,
 )
 from bctransforms import bargmann, quadrature
 from bctransforms import bicomplex as bc
@@ -309,6 +312,28 @@ _KERNEL_FORMS = {
 }
 
 
+_LINE_THETA = ThetaParam.from_phases(0.9, 2.2)
+
+#: each line kernel form at sigma = 1.3, nu = 2: call(f, points, order), its rule
+#: weight gamma, its public closed-form kernel K(t, p) at nodes t, and its points
+_LINE_KERNEL_FORMS = {
+    "frft_apply": (
+        lambda f, y, order: frft_apply(f, _LINE_THETA, y, sigma=_SIGMA, order=order), _SIGMA / 2,
+        lambda t, y: frft_kernel(_SIGMA, _LINE_THETA, t, y), np.array([0.0, 0.4, -0.9, 1.7]),
+    ),
+    "sbt_forward_integral": (
+        lambda f, Z, order: sbt_forward_integral(f, _SIGMA, 2.0, Z, order=order), _SIGMA,
+        lambda t, Z: sbt_kernel_BC(_SIGMA, 2.0, t, Z), _RING_POINTS,
+    ),
+}
+
+#: line integrands: an expansion in the psi basis, and one whose channels differ
+_LINE_INTEGRANDS = {
+    "hermite": HermiteCoeffVector(_SIGMA, [0.3, -1.0 + 0.2j, 0.0, 0.5j]).evaluate,
+    "channels": lambda t: Bicomplex.from_channels(np.cos(t) + 1j * t, t**3 - 0.5),
+}
+
+
 def _assert_channels_close(got, want, rtol, atol=0.0):
     assert_allclose(complex(got.alpha), complex(want.alpha), rtol=rtol, atol=atol)
     assert_allclose(complex(got.beta), complex(want.beta), rtol=rtol, atol=atol)
@@ -505,15 +530,39 @@ class TestBlockedRingGrid:
                 rounding = math.fsum(np.abs(terms) * np.abs(np.log(np.abs(k_ch)))) if last else 0.0
                 assert abs(complex(total) - exact) <= 2.0**-50 * math.fsum(np.abs(terms)) + 2.0**-53 * rounding
 
+    @pytest.mark.parametrize(
+        "form, order",
+        [("frft_apply", 7), ("frft_apply", 12), ("frft_apply", 96), ("sbt_forward_integral", 7),
+         ("sbt_forward_integral", 12)],
+    )
+    @pytest.mark.parametrize("f", list(_LINE_INTEGRANDS))
+    def test_near_exact_line_kernel_weighted_sum(self, form, order, f):
+        # each line form sums its public closed form K over the real nodes of a
+        # rule at its gamma, with the rule's Gaussian exp(-gamma t**2) divided
+        # back out of the weights; its sum may differ from the exactly rounded
+        # sum of w exp(gamma t**2) K f only by rounding, within 2**-50 of the
+        # sum of |w exp(gamma t**2) K f| in each channel
+        call, gamma, kernel, points = _LINE_KERNEL_FORMS[form]
+        rule = gauss_hermite(order, gamma)
+        t, w = rule.nodes, rule.weights * np.exp(gamma * rule.nodes**2)
+        values = as_bicomplex(_LINE_INTEGRANDS[f](t))
+        got = call(_LINE_INTEGRANDS[f], points, order)
+        for k in range(len(got.alpha)):
+            K = kernel(t, points[k])
+            for k_ch, f_ch, total in ((K.alpha, values.alpha, got.alpha[k]), (K.beta, values.beta, got.beta[k])):
+                terms = w * (k_ch * f_ch)
+                exact = complex(math.fsum(terms.real), math.fsum(terms.imag))
+                assert abs(complex(total) - exact) <= 2.0**-50 * math.fsum(np.abs(terms))
+
     def test_channelwise_exp_runs_once_per_node(self, monkeypatch):
         seen = []
 
-        def spy(gamma, z, w):  # called once per channel
+        def spy(a, b, z, w):  # called once per channel
             seen.append(np.broadcast(z, w).size)
-            return formula(gamma, z, w)
+            return formula(a, b, z, w)
 
-        formula = bargmann._planar_kernel
-        monkeypatch.setattr(bargmann, "_planar_kernel", spy)
+        formula = bargmann._planar_exponential
+        monkeypatch.setattr(bargmann, "_planar_exponential", spy)
         integrate_bicomplex(_channelwise, 2.0, gauss_hermite(24, 1.0), vectorized=True)
         # rows alpha values and 576 beta values per call, not rows * 576 each
         assert [a + b for a, b in zip(seen[::2], seen[1::2], strict=True)] == [14 + 576, 562 + 576]
