@@ -193,8 +193,8 @@ class MonomialCoeffVector(_CoeffVector):
 
 
 def _reproducing_exponent(gamma):
-    """K(z, w) = exp(a conj(w)**2 + b(z) conj(w)): a = 0, b(z) = gamma z."""
-    return 0.0, lambda z: gamma * z
+    """K(z, w) = exp(a conj(w)**2 + b z conj(w)): a = 0, b = gamma."""
+    return 0.0, gamma
 
 
 @_fails_closed

@@ -32,6 +32,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from numbers import Number
 from typing import Union
@@ -122,6 +123,20 @@ def _channelwise(formula):
         return Bicomplex.from_channels(alpha, beta)
 
     return lifted
+
+
+def _channel_op(op):
+    """``op`` (operator.add, sub or mul) on the ring, self's channel first: a Bicomplex meets each
+    channel with its own, a Number or ndarray meets both, and anything else is NotImplemented."""
+
+    def method(self, other):
+        if isinstance(other, Bicomplex):
+            return Bicomplex.from_channels(op(self.alpha, other.alpha), op(self.beta, other.beta))
+        if isinstance(other, (Number, np.ndarray)):
+            return Bicomplex.from_channels(op(self.alpha, other), op(self.beta, other))
+        return NotImplemented
+
+    return method
 
 
 _PY_SCALARS = frozenset((complex, float, int))
@@ -246,21 +261,8 @@ class Bicomplex:
 
     # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other):
-        if isinstance(other, Bicomplex):
-            return Bicomplex.from_channels(self.alpha + other.alpha, self.beta + other.beta)
-        if isinstance(other, (Number, np.ndarray)):
-            return Bicomplex.from_channels(self.alpha + other, self.beta + other)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Bicomplex):
-            return Bicomplex.from_channels(self.alpha - other.alpha, self.beta - other.beta)
-        if isinstance(other, (Number, np.ndarray)):
-            return Bicomplex.from_channels(self.alpha - other, self.beta - other)
-        return NotImplemented
+    __add__ = __radd__ = _channel_op(operator.add)
+    __sub__ = _channel_op(operator.sub)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -271,14 +273,7 @@ class Bicomplex:
     def __pos__(self):
         return self
 
-    def __mul__(self, other):
-        if isinstance(other, Bicomplex):
-            return Bicomplex.from_channels(self.alpha * other.alpha, self.beta * other.beta)
-        if isinstance(other, (Number, np.ndarray)):
-            return Bicomplex.from_channels(self.alpha * other, self.beta * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
+    __mul__ = __rmul__ = _channel_op(operator.mul)
 
     def __truediv__(self, other):
         if isinstance(other, Bicomplex):

@@ -154,15 +154,15 @@ def _expansion(coeffs, sigma: float, x):
 
 
 def _generating_exponent(sigma, nu):
-    """G(x, z) = exp(a w**2 + b(x) w) at w = conj(z): a = -nu/4, b(x) = sqrt(sigma nu) x."""
-    return -0.25 * nu, lambda x: math.sqrt(sigma * nu) * x
+    """G(x, z) = exp(a w**2 + b x w) at w = conj(z): a = -nu/4, b = sqrt(sigma nu)."""
+    return -0.25 * nu, math.sqrt(sigma * nu)
 
 
 def _planar_exponential(a, b, p, w):
-    """exp(a conj(w)**2 + b(p) conj(w)) on complex values, without the a term where
-    a == 0: every planar kernel is this formula on each channel."""
+    """exp(a conj(w)**2 + b p conj(w)) on complex values, without the a term where a == 0:
+    every planar kernel is this formula on each channel, at the numbers (a, b) its forms pass."""
     ws = np.conjugate(w)
-    exponent = b(p) * ws
+    exponent = b * p * ws
     if a != 0:
         exponent = a * (ws * ws) + exponent
     return np.exp(exponent)

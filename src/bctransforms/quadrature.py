@@ -25,8 +25,8 @@ The integral forms of other modules integrate through one function,
 the coefficients of their closed-form kernels.  A line kernel
 c exp(-s (x - shift p)**2) comes as (c, s, shift) and is evaluated per block
 of points with exp(+gamma x**2) folded in, so that it meets the raw rule weights; a
-planar kernel exp(a conj(xi)**2 + b(p) conj(xi)) comes as (a, b) and is summed
-in factored form, 2n exponentials per point, not n**2.  The ring integrand is
+planar kernel exp(a conj(xi)**2 + b p conj(xi)) comes as the two numbers (a, b) and
+is summed in factored form, 2n exponentials per point, not n**2.  The ring integrand is
 first reduced to its two planar marginals, so a ring sum is a planar sum and
 ``f`` is called per block of grid rows, not per point.  Integrands whose Gaussian
 decay differs from the rule's weight must fold the residual exponential into ``f``.
@@ -275,21 +275,19 @@ def _kernel_sum(values: Bicomplex, nodes, weights, kernel=None, points=None, gam
 
 
 def _factored_sum(values: Bicomplex, t, weights, kernel, points) -> Bicomplex:
-    """The kernel sum on the grid xi = u + iv (u, v in the nodes ``t``) for the kernel
-    exp(a conj(xi)**2 + b(p) conj(xi)), ``kernel`` = (a, b), each channel of b on that channel of
-    ``values``.  As exp(b conj(xi)) = exp(b u) exp(-i b v), weights exp(a conj(xi)**2) values is
-    folded once into an n x n matrix F per channel, and a point's total is the row sum of
-    (E_u @ F) * E_v (sum factorization): 2n exponentials and n**2 + n multiply-adds per point and
-    channel, not n**2 exponentials.  Channels with one b share E_u = exp(b u), E_v = exp(-i b v)."""
+    """The kernel sum on the grid xi = u + iv (u, v in the nodes ``t``) for the kernel exp(a conj(xi)**2
+    + b p conj(xi)), ``kernel`` = (a, b) two numbers, each channel of p on that channel of ``values``.
+    With B = b p, E_u = exp(B u) and E_v = exp(-i B v) factor exp(B conj(xi)), so weights exp(a conj(xi)**2)
+    values is folded once into an n x n matrix F per channel, and a point's total is the row sum of
+    (E_u @ F) * E_v: 2n exponentials per point and channel, not n**2, shared by channels with one B."""
     (a, b), n = kernel, len(t)
     with _quiet():
-        if a != 0:  # exp(a conj(xi)**2) for u <= 0; the nodes are symmetric and -u conjugates it
-            half = np.exp(a * (t[: (n + 1) // 2, None] - 1j * t) ** 2)
-            weights = weights * np.concatenate((half, half[: n // 2][::-1].conj())).ravel()
+        if a != 0:
+            weights = weights * np.exp(a * (t[:, None] - 1j * t) ** 2).ravel()
         F = [(weights * ch).reshape(n, n) for ch in (values.alpha, values.beta)]
 
     def block_sum(P):
-        B = b(P)
+        B = b * P
         ca, cb = (B.alpha, B.beta) if isinstance(B, Bicomplex) else (B, B)
         ea = np.exp(ca * t), np.exp(-1j * ca * t)
         eb = ea if cb is ca else (np.exp(cb * t), np.exp(-1j * cb * t))

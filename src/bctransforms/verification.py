@@ -46,6 +46,8 @@ from .errors import (
 )
 from .frft import (
     ThetaParam,
+    _FRFT_ORDER,
+    _require_theta,
     ck_frft_kernel,
     frft_apply,
     frft_coefficients,
@@ -216,12 +218,6 @@ def _rand_bcs_bounded(rng: np.random.Generator, n: int, radius: float) -> Bicomp
     return Bicomplex.from_channels(alpha, beta)
 
 
-def _rand_coeffs(rng: np.random.Generator, degree: int) -> Bicomplex:
-    """``degree + 1`` coefficients as one array value; the same draws, in the
-    same order, as ``degree + 1`` calls of ``_rand_bc``."""
-    return _rand_bcs(rng, degree + 1)
-
-
 def _padded_coeffs(rng: np.random.Generator, n: int, max_degree: int) -> tuple[np.ndarray, Bicomplex]:
     """Degrees d_k drawn from 0..max_degree, then ``n`` coefficient rows of
     length max_degree + 1, each zero past its d_k: ``n`` vectors stacked."""
@@ -242,11 +238,11 @@ def _power_sum(A: Bicomplex, Z: Bicomplex) -> Bicomplex:
 
 
 def _rand_hermite_vec(rng: np.random.Generator, degree: int, sigma: float) -> HermiteCoeffVector:
-    return HermiteCoeffVector(sigma=sigma, coeffs=_rand_coeffs(rng, degree))
+    return HermiteCoeffVector(sigma=sigma, coeffs=_rand_bcs(rng, degree + 1))
 
 
 def _rand_monomial_vec(rng: np.random.Generator, degree: int, nu: float) -> MonomialCoeffVector:
-    return MonomialCoeffVector(nu=nu, coeffs=_rand_coeffs(rng, degree))
+    return MonomialCoeffVector(nu=nu, coeffs=_rand_bcs(rng, degree + 1))
 
 
 def _worst(*errors: float) -> float:
@@ -671,9 +667,7 @@ def _thetas(p: _Params) -> list[ThetaParam]:
 
 
 def _frft_order(p: _Params) -> int:
-    # the folded integrand carries an oscillatory quadratic whose resolution
-    # needs ~96 nodes; below that the integral path loses six digits
-    return max(p.order, 96)
+    return max(p.order, _FRFT_ORDER)
 
 @_case("frft/eigenfunctions", 1e-8, "integral path scales psi_n by theta^n for n <= 8")
 def _(p):
@@ -888,19 +882,19 @@ def run_suite(
     seed: int = 20240817,
     theta: ThetaParam | None = None,
 ) -> VerificationReport:
-    """Run one named suite (or "all") and return its report.  Before any case
-    runs, a sigma or nu that is not positive and finite, an order that is not
-    an int >= 1 or a seed that is not an int >= 0 raises DomainError."""
+    """Run one named suite (or "all") and return its report.  Before any case runs, a sigma
+    or nu that is not positive and finite, an order that is not an int >= 1, a seed that
+    is not an int >= 0 or a theta that is not a ThetaParam raises DomainError."""
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
     # a numpy number becomes a Python float or int, which the cases compute in
     # double precision and the report can encode
     sigma, nu = _require_positive("sigma", sigma), _require_positive("nu", nu)
     order, seed = _require_int("order", order, 1), _require_int("seed", seed, 0)
-    params = _Params(sigma=sigma, nu=nu, order=order, seed=seed, theta=theta)
-    results = [_run_case(c, params) for c in _CASES if suite == "all" or c.id.startswith(suite + "/")]
     report_params = {"sigma": sigma, "nu": nu, "order": order, "seed": seed}
     if theta is not None:
-        report_params["theta"] = theta.theta.to_json()
+        report_params["theta"] = _require_theta(theta).theta.to_json()
         report_params["theta_mode"] = theta.mode
+    params = _Params(sigma=sigma, nu=nu, order=order, seed=seed, theta=theta)
+    results = [_run_case(c, params) for c in _CASES if suite == "all" or c.id.startswith(suite + "/")]
     return VerificationReport(suite=suite, params=report_params, cases=results)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -267,6 +268,38 @@ class TestArithmetic:
         assert bt.sub(Z, W) == Z - W
         assert bt.neg(Z) == -Z
         assert bt.mul(Z, W) == Z * W
+
+
+_OPS = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+class TestOperandContract:
+    """+, -, * and / take a Bicomplex, a Number or an ndarray on either side."""
+
+    @pytest.mark.parametrize("other", ["2", [1.0, 2.0], None, {"a": 1}], ids=repr)
+    @pytest.mark.parametrize("op", _OPS, ids=lambda op: op.__name__)
+    def test_any_other_operand_is_a_type_error(self, op, other):
+        Z = Bicomplex(0.3 + 0.1j, -0.2j)
+        with pytest.raises(TypeError):
+            op(Z, other)
+        with pytest.raises(TypeError):
+            op(other, Z)
+
+    @pytest.mark.parametrize("op", _OPS, ids=lambda op: op.__name__)
+    def test_ndarray_on_the_left_meets_each_channel(self, op):
+        Z = Bicomplex.from_channels(np.array([0.3 + 0.1j, -1.2j, 7.0]), np.array([2.0 - 0.5j, 0.7, 1e-3j]))
+        a = np.array([1.5 - 2.0j, 0.25 + 1.0j, -3.0 + 0.1j])
+        # the explicit formula, bit for bit, with the ring value's channel first
+        # where the method puts it (numpy's complex multiply is not bitwise commutative)
+        formula = {
+            operator.add: lambda ch: ch + a,
+            operator.sub: lambda ch: a - ch,
+            operator.mul: lambda ch: ch * a,
+            operator.truediv: lambda ch: (1.0 / ch) * a,
+        }[op]
+        got = op(a, Z)
+        assert isinstance(got, Bicomplex)
+        assert np.array_equal(got.alpha, formula(Z.alpha)) and np.array_equal(got.beta, formula(Z.beta))
 
 
 class TestConjugations:

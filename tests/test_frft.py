@@ -126,6 +126,19 @@ class TestIntegralPath:
             got = frft_inverse(lambda y: fwd.evaluate(y), THETA, x, sigma=SIGMA, order=96)
             assert_bc_close(got, v.evaluate(x), tol=1e-8)
 
+    @pytest.mark.parametrize(
+        "phases", [(math.pi / 3, math.pi / 5), (math.pi / 2, math.pi / 2), (2 * math.pi / 3, math.pi / 4), (0.9, 2.2)]
+    )
+    def test_default_order_holds_on_eigenfunctions(self, phases):
+        # the package's 64 nodes once left 2.0e-7 here at (pi/3, pi/5)
+        theta, y = ThetaParam.from_phases(*phases), np.array([0.0, 0.6, -1.1])
+        for n in range(9):
+            psi = psi_n(n, SIGMA, y)
+            got = frft_apply(lambda x: psi_n(n, SIGMA, x), theta, y, sigma=SIGMA)
+            back = frft_inverse(lambda x: psi_n(n, SIGMA, x), theta, y, sigma=SIGMA)
+            assert np.max(bc_norm(got - theta.theta**n * psi)) <= 1e-8
+            assert np.max(bc_norm(back - conj_star(theta.theta) ** n * psi)) <= 1e-8
+
     def test_callable_requires_sigma(self):
         with pytest.raises(TypeError):
             frft_apply(lambda x: 1.0, THETA, 0.0)

@@ -26,6 +26,7 @@ from bctransforms.frft import (
     ThetaParam,
     ck_frft_kernel,
     frft_apply,
+    frft_coefficients,
     frft_inverse,
     frft_kernel,
     gaussian_integral_closed,
@@ -331,6 +332,25 @@ def test_unknown_theta_mode_is_domain_error():
     # sbt_inverse_integral method raises DomainError
     with pytest.raises(DomainError, match="unknown mode 'weird'"):
         ThetaParam(Bicomplex(1j, 0j), mode="weird")
+
+
+# a theta that is not a ThetaParam: each call once raised a bare AttributeError
+NOT_A_THETA = {
+    "frft_kernel": lambda t: frft_kernel(1.0, t, 0.1, 0.2),
+    "ck_frft_kernel": lambda t: ck_frft_kernel(1.0, t, 0.1, Z1),
+    "frft_apply": lambda t: frft_apply(lambda x: x * x, t, 0.1, sigma=1.0),
+    "frft_apply.vector": lambda t: frft_apply(HermiteCoeffVector(1.0, [1.0, 2.0]), t, 0.1),
+    "frft_coefficients": lambda t: frft_coefficients(HermiteCoeffVector(1.0, [1.0, 2.0]), t),
+    "frft_inverse": lambda t: frft_inverse(lambda x: x * x, t, 0.1, sigma=1.0),
+}
+
+
+@pytest.mark.parametrize("bad", [THETA.theta, None, 0.5], ids=["Bicomplex", "None", "float"])
+@pytest.mark.parametrize("name", list(NOT_A_THETA))
+def test_theta_that_is_not_a_theta_param_is_domain_error(name, bad):
+    with pytest.raises(DomainError, match="theta must be a ThetaParam"):
+        NOT_A_THETA[name](bad)
+    assert _all_finite(NOT_A_THETA[name](THETA))
 
 
 # wide-range finite inputs for the property test below

@@ -272,6 +272,7 @@ def test_nan_at_one_sample_fails_only_its_cases(monkeypatch, target, name, faili
         {"nu": math.nan}, {"nu": -2.0}, {"nu": 10**400},
         {"order": 0}, {"order": -3}, {"order": 64.0}, {"order": True}, {"order": "64"},
         {"seed": -1}, {"seed": 1.0}, {"seed": True},
+        {"theta": Bicomplex.from_channels(1j, -1j)}, {"theta": 0.5},
     ],
     ids=repr,
 )
